@@ -19,22 +19,20 @@ from .core import (
     ALICE,
     BOB,
     GameState,
-    GameStatus,
     Move,
     Partition,
-    apply_move,
     fixing_move_played,
-    initial_state,
-    status,
 )
 from .formulas import bounds, table1_chi_g, table1_report
 from .harness import (
     GameRecord,
+    MoveRecord,
     check_b1p_conjecture,
     check_nonoptimality_theorem,
-    record_playout,
+    record_game,
     scan,
     scan_csv,
+    seat_picker,
     simulate,
     verify_guarantee,
 )
@@ -50,7 +48,6 @@ from .strategies import (
     HumanPlayer,
     InapplicableStrategyError,
     Strategy,
-    StrategyContext,
     get_strategy,
 )
 
@@ -105,8 +102,9 @@ def cmd_solve(args, out) -> int:
     partition = _partition(args.partition)
     cache_path = os.environ.get(CACHE_ENV)
     cache = _load_cache_checked(cache_path) if cache_path else None
+    miss = cache is not None and str(partition) not in cache
     payload = _solve_payload(partition, cache)
-    if cache_path and cache is not None:
+    if miss:
         save_cache(cache_path, cache)
     if args.format == "json":
         _emit(out, json.dumps(payload))
@@ -173,10 +171,16 @@ def _render_record(record: GameRecord, out) -> None:
     _emit(out, f"outcome: {record.outcome} using {record.colors_used} colors")
 
 
-def cmd_simulate(args, out) -> int:
+def _game_args(args) -> tuple[Partition, Strategy, Strategy]:
+    """The board and both seats of a simulate or play command."""
     partition = _partition(args.partition)
-    alice = _strategy(args.alice)
-    bob = _strategy(args.bob)
+    if args.colors < 1:
+        raise UsageError("color budget must be at least 1")
+    return partition, _strategy(args.alice), _strategy(args.bob)
+
+
+def cmd_simulate(args, out) -> int:
+    partition, alice, bob = _game_args(args)
     try:
         record = simulate(partition, args.colors, alice, bob, seed=args.seed)
     except InapplicableStrategyError as exc:
@@ -188,9 +192,9 @@ def cmd_simulate(args, out) -> int:
     return 0
 
 
-def _render_board(state: GameState, part_colors: list[list[int]], out) -> None:
+def _render_board(state: GameState, played: list[MoveRecord], out) -> None:
     for i, p in enumerate(state.parts):
-        colors = ",".join(str(c) for c in sorted(part_colors[i])) or "-"
+        colors = ",".join(str(m.color) for m in played if m.part == i and m.fresh) or "-"
         starter = f" started by {p.starter}" if p.starter else ""
         _emit(out, f"  part {i}: {p.colored}/{p.size} colored, colors [{colors}]{starter}")
     _emit(out, f"  colors used {state.used}/{state.budget}")
@@ -212,56 +216,37 @@ def _prompt_move(state: GameState, moves: list[Move], inp, out) -> Move:
 
 
 def cmd_play(args, out, inp) -> int:
-    partition = _partition(args.partition)
-    alice = _strategy(args.alice)
-    bob = _strategy(args.bob)
-    for side, seat in ((ALICE, alice), (BOB, bob)):
+    partition, alice, bob = _game_args(args)
+    for seat in (alice, bob):
         if isinstance(seat, HumanPlayer):
             seat.picker = lambda state, moves: _prompt_move(state, moves, inp, out)
-        if not seat.is_applicable(partition):
-            raise UsageError(f"{seat.id} is not applicable to {partition.label()}")
-        if seat.side is not None and seat.side != side:
-            raise UsageError(f"{seat.id} is a rule for {seat.side}; it cannot play as {side}")
-    state = initial_state(partition, args.colors)
-    ctx_a = StrategyContext.initial(alice, state)
-    ctx_b = StrategyContext.initial(bob, state)
-    part_colors: list[list[int]] = [[] for _ in partition.sizes]
-    next_color = 1
-    moves: list[Move] = []
+    try:
+        seats = seat_picker(partition, alice, bob)
+    except InapplicableStrategyError as exc:
+        raise UsageError(str(exc)) from None
+    played: list[MoveRecord] = []
+
+    def pick(state: GameState) -> Optional[Move]:
+        _render_board(state, played, out)
+        return seats(state)
+
+    def on_move(record: MoveRecord, before: GameState, after: GameState) -> None:
+        played.append(record)
+        action = "fresh" if record.fresh else "reuse"
+        _emit(out, f"{record.mover} plays part {record.part} with color {record.color} ({action})")
+        if not fixing_move_played(before) and fixing_move_played(after):
+            _emit(out, ">>> fixing move: every part is now started <<<")
+
     _emit(out, f"{partition.label()} with {args.colors} colors")
     try:
-        while status(state) is GameStatus.ONGOING:
-            _render_board(state, part_colors, out)
-            owner = alice if state.turn == ALICE else bob
-            ctx = ctx_a if state.turn == ALICE else ctx_b
-            move = owner.choose(ctx.aux, state)
-            if move.fresh:
-                color = next_color
-                next_color += 1
-                part_colors[move.part].append(color)
-            else:
-                color = min(part_colors[move.part])
-            _emit(
-                out,
-                f"{state.turn} plays part {move.part} with color {color} ({move.action})",
-            )
-            moves.append(move)
-            was_fixed = fixing_move_played(state)
-            nxt = apply_move(state, move)
-            ctx_a = ctx_a.advanced(alice, nxt, move)
-            ctx_b = ctx_b.advanced(bob, nxt, move)
-            state = nxt
-            if not was_fixed and fixing_move_played(state):
-                _emit(out, ">>> fixing move: every part is now started <<<")
-        record = record_playout(partition, args.colors, moves, alice.id, bob.id)
-        _render_board(state, part_colors, out)
-        if record.fixing_index is not None:
-            _emit(out, f"fixing move was move {record.fixing_index + 1}")
-        _emit(out, f"outcome: {record.outcome} using {record.colors_used} colors")
-        return 0
+        record = record_game(partition, args.colors, pick, alice.id, bob.id, on_move)
     except EOFError:
         _emit(out, "aborted (end of input)")
         return 2
+    if record.fixing_index is not None:
+        _emit(out, f"fixing move was move {record.fixing_index + 1}")
+    _emit(out, f"outcome: {record.outcome} using {record.colors_used} colors")
+    return 0
 
 
 def cmd_verify(args, out) -> int:
@@ -293,14 +278,14 @@ def cmd_scan(args, out) -> int:
     rows = scan(args.max_n, args.filter, jobs=args.jobs)
     if cache_path:
         cache = _load_cache_checked(cache_path)
-        for row in rows:
-            key = str(row.partition)
-            if key not in cache:
-                cache[key] = WinVector(
-                    row.partition,
-                    tuple([False] * (row.k - 1) + [b == "1" for b in row.winvector]),
-                )
-        save_cache(cache_path, cache)
+        missing = [row for row in rows if str(row.partition) not in cache]
+        for row in missing:
+            cache[str(row.partition)] = WinVector(
+                row.partition,
+                tuple([False] * (row.k - 1) + [b == "1" for b in row.winvector]),
+            )
+        if missing:
+            save_cache(cache_path, cache)
     csv_text = scan_csv(rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 ALICE = "alice"
 BOB = "bob"
@@ -49,7 +49,7 @@ class Partition:
         object.__setattr__(self, "sizes", tuple(self.sizes))
         if not self.sizes:
             raise ValueError("partition must have at least one part")
-        if any(not isinstance(r, int) or r < 1 for r in self.sizes):
+        if any(not isinstance(r, int) or isinstance(r, bool) or r < 1 for r in self.sizes):
             raise ValueError("part sizes must be positive integers")
         if any(a < b for a, b in zip(self.sizes, self.sizes[1:])):
             raise ValueError("part sizes must be sorted non-increasing")
@@ -154,12 +154,6 @@ class GameState:
     def turn(self) -> str:
         return ALICE if self.move_count % 2 == 0 else BOB
 
-    @property
-    def last_mover(self) -> Optional[str]:
-        if self.last_move is None:
-            return None
-        return BOB if self.turn == ALICE else ALICE
-
 
 def initial_state(partition: Partition, budget: int) -> GameState:
     if budget < 1:
@@ -225,6 +219,22 @@ def apply_move(state: GameState, move: Move) -> GameState:
         move_count=state.move_count + 1,
         last_move=move,
     )
+
+
+def play(
+    state: GameState, pick: Callable[[GameState], Optional[Move]]
+) -> Iterator[tuple[GameState, Move, GameState]]:
+    """The one game loop: ask `pick` for a move from each position until it
+    returns None, apply each through `apply_move` (so every move is checked
+    before the caller sees it) and yield `(before, move, after)`.
+
+    `pick` sees every position in order, the final one included, so a
+    picker can keep per-game bookkeeping up to date from `state.last_move`.
+    """
+    while (move := pick(state)) is not None:
+        after = apply_move(state, move)
+        yield state, move, after
+        state = after
 
 
 def fixing_move_played(state: GameState) -> bool:

@@ -7,17 +7,18 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .core import (
     ALICE,
     BOB,
+    GameState,
     GameStatus,
     Move,
     Partition,
-    apply_move,
     fixing_move_played,
     initial_state,
+    play,
     status,
 )
 from .formulas import table1_chi_g
@@ -31,7 +32,6 @@ from .strategies import (
     InapplicableStrategyError,
     RandomMover,
     Strategy,
-    StrategyContext,
     get_strategy,
 )
 
@@ -92,31 +92,34 @@ class GameRecord:
         return [Move(m.part, m.fresh) for m in self.moves]
 
 
-def record_playout(
+def record_game(
     partition: Partition,
     budget: int,
-    moves: Iterable[Move],
+    pick: Callable[[GameState], Optional[Move]],
     alice_id: str,
     bob_id: str,
+    on_move: Optional[Callable[[MoveRecord, GameState, GameState], None]] = None,
 ) -> GameRecord:
-    """Replay count-level moves, assigning concrete colors for the record."""
-    state = initial_state(partition, budget)
-    part_colors: list[list[int]] = [[] for _ in partition.sizes]
-    next_color = 1
+    """Play `pick`'s moves from the empty board (see `core.play`) and record
+    them; `on_move(record, before, after)` sees each move as it is played.
+
+    This is the one place that assigns concrete colors (the convention on
+    `GameRecord`): a fresh color is the count of colors used after the move,
+    and a reuse takes the first color its part received.
+    """
+    first_color: dict[int, int] = {}
     records: list[MoveRecord] = []
     fixing_index: Optional[int] = None
-    for i, move in enumerate(moves):
-        mover = state.turn
-        state = apply_move(state, move)  # validates before color bookkeeping
-        if move.fresh:
-            color = next_color
-            next_color += 1
-            part_colors[move.part].append(color)
-        else:
-            color = min(part_colors[move.part])
-        records.append(MoveRecord(i, mover, move.part, color, move.fresh))
+    state = initial_state(partition, budget)
+    for i, (before, move, state) in enumerate(play(state, pick)):
+        color = state.used if move.fresh else first_color[move.part]
+        first_color.setdefault(move.part, color)
+        record = MoveRecord(i, before.turn, move.part, color, move.fresh)
+        records.append(record)
         if fixing_index is None and fixing_move_played(state):
             fixing_index = i
+        if on_move is not None:
+            on_move(record, before, state)
     return GameRecord(
         partition=partition,
         budget=budget,
@@ -127,6 +130,49 @@ def record_playout(
         fixing_index=fixing_index,
         colors_used=state.used,
     )
+
+
+def record_playout(
+    partition: Partition,
+    budget: int,
+    moves: Iterable[Move],
+    alice_id: str,
+    bob_id: str,
+) -> GameRecord:
+    """Replay count-level moves, assigning concrete colors for the record."""
+    script = iter(moves)
+    return record_game(partition, budget, lambda _state: next(script, None), alice_id, bob_id)
+
+
+def seat_picker(
+    partition: Partition, alice: Strategy, bob: Strategy
+) -> Callable[[GameState], Optional[Move]]:
+    """A `pick` for `core.play` in which each rule moves on its own turn.
+    Both rules' bookkeeping advances on every move, whoever made it."""
+    seats = {ALICE: alice, BOB: bob}
+    for seat, strat in seats.items():
+        if not strat.is_applicable(partition):
+            raise InapplicableStrategyError(
+                f"{strat.id} is not applicable to {partition.label()}"
+            )
+        if strat.side is not None and strat.side != seat:
+            raise InapplicableStrategyError(
+                f"{strat.id} is a rule for {strat.side}; it cannot play as {seat}"
+            )
+    aux = {seat: strat.initial_aux(partition) for seat, strat in seats.items()}
+    previous: Optional[GameState] = None
+
+    def pick(state: GameState) -> Optional[Move]:
+        nonlocal previous
+        if previous is not None:
+            for seat, strat in seats.items():
+                aux[seat] = strat.advance(aux[seat], previous, state.last_move)
+        previous = state
+        if status(state) is not GameStatus.ONGOING:
+            return None
+        return seats[state.turn].choose(aux[state.turn], state)
+
+    return pick
 
 
 def simulate(
@@ -143,29 +189,7 @@ def simulate(
         alice = alice.with_seed(seed)
     if isinstance(bob, RandomMover):
         bob = bob.with_seed(seed + 1)
-    for seat, strat in ((ALICE, alice), (BOB, bob)):
-        if not strat.is_applicable(partition):
-            raise InapplicableStrategyError(
-                f"{strat.id} is not applicable to {partition.label()}"
-            )
-        if strat.side is not None and strat.side != seat:
-            raise InapplicableStrategyError(
-                f"{strat.id} is a rule for {strat.side}; it cannot play as {seat}"
-            )
-    state = initial_state(partition, budget)
-    ctx_a = StrategyContext.initial(alice, state)
-    ctx_b = StrategyContext.initial(bob, state)
-    moves: list[Move] = []
-    while status(state) is GameStatus.ONGOING:
-        owner = alice if state.turn == ALICE else bob
-        ctx = ctx_a if state.turn == ALICE else ctx_b
-        move = owner.choose(ctx.aux, state)
-        moves.append(move)
-        nxt = apply_move(state, move)
-        ctx_a = ctx_a.advanced(alice, nxt, move)
-        ctx_b = ctx_b.advanced(bob, nxt, move)
-        state = nxt
-    return record_playout(partition, budget, moves, alice.id, bob.id)
+    return record_game(partition, budget, seat_picker(partition, alice, bob), alice.id, bob.id)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ oracle rather than assuming it.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Hashable, Optional
 
@@ -29,8 +30,10 @@ from .core import (
     fixing_move_played,
     initial_state,
     legal_moves,
+    play,
     status,
 )
+from .formulas import table1_chi_g
 from .strategies import (
     InapplicableStrategyError,
     Strategy,
@@ -122,6 +125,13 @@ class WinVector:
         vec = cls(partition, wins)
         if vec.chi_g != int(chi_text):
             raise ValueError(f"cache line value mismatch: {line!r}")
+        # Cheap consistency checks, not a re-solve: n colors always let
+        # Alice color every vertex, and the table is exact where it applies.
+        if not wins[-1]:
+            raise ValueError(f"cache line has Alice losing with n colors: {line!r}")
+        table = table1_chi_g(partition)
+        if table is not None and table != vec.chi_g:
+            raise ValueError(f"cache line contradicts the table value {table}: {line!r}")
         return vec
 
 
@@ -155,9 +165,17 @@ def load_cache(path: str) -> dict[str, WinVector]:
 
 
 def save_cache(path: str, cache: dict[str, WinVector]) -> None:
+    """Write the cache to a temp file beside `path`, then rename it into
+    place, so a crash or a concurrent reader never sees a partial file."""
     lines = [cache[key].to_cache_line() for key in sorted(cache)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + ("\n" if lines else ""))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def cached_win_vector(partition: Partition, cache: Optional[dict[str, WinVector]]) -> WinVector:
@@ -238,29 +256,28 @@ class _RestrictedSearch:
     def refutation(self, state: GameState, aux: Hashable) -> list[Move]:
         """First failing line in canonical search order; the returned play
         is extended to an actual terminal so it replays to a full game."""
-        line: list[Move] = []
-        while True:
-            st = status(state)
-            if st is not GameStatus.ONGOING:
-                return line
+
+        def pick(current: GameState) -> Optional[Move]:
+            nonlocal state, aux
+            if current is not state:
+                aux = self.strategy.advance(aux, state, current.last_move)
+                state = current
+            if status(state) is not GameStatus.ONGOING:
+                return None
             if fixing_move_played(state):
                 # goal failure settled (Bob's seat); play out to the win.
-                move = (
-                    self.strategy.choose(aux, state)
-                    if state.turn == self.fixed_side
-                    else legal_moves(state)[0]
+                if state.turn == self.fixed_side:
+                    return self.strategy.choose(aux, state)
+                return legal_moves(state)[0]
+            return next(
+                m
+                for m in self.moves_for(state, aux)
+                if not self.achieved(
+                    apply_move(state, m), self.strategy.advance(aux, state, m)
                 )
-            else:
-                move = next(
-                    m
-                    for m in self.moves_for(state, aux)
-                    if not self.achieved(
-                        apply_move(state, m), self.strategy.advance(aux, state, m)
-                    )
-                )
-            line.append(move)
-            aux = self.strategy.advance(aux, state, move)
-            state = apply_move(state, move)
+            )
+
+        return [move for _before, move, _after in play(state, pick)]
 
 
 def _resolve(strategy: Strategy | str) -> Strategy:

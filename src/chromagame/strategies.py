@@ -498,60 +498,28 @@ def is_applicable(strategy: Strategy | str, partition: Partition) -> bool:
     return strategy.is_applicable(partition)
 
 
-class StrategyContext:
-    """A game state plus the rule's bookkeeping, reconstructible from history."""
-
-    __slots__ = ("state", "aux")
-
-    def __init__(self, state: GameState, aux: Hashable):
-        self.state = state
-        self.aux = aux
-
-    @classmethod
-    def initial(cls, strategy: Strategy, state: GameState) -> "StrategyContext":
-        return cls(state, strategy.initial_aux(state.partition))
-
-    def advanced(self, strategy: Strategy, state_after: GameState, move: Move) -> "StrategyContext":
-        """Context after `move` was applied to our state, yielding `state_after`."""
-        return StrategyContext(state_after, strategy.advance(self.aux, self.state, move))
-
-
-def context_from_history(
-    strategy: Strategy, partition: Partition, budget: int, moves: list[Move]
-) -> StrategyContext:
-    """Rebuild the context by replaying a transcript."""
-    from .core import apply_move, initial_state
-
-    state = initial_state(partition, budget)
-    ctx = StrategyContext.initial(strategy, state)
-    for move in moves:
-        state = apply_move(state, move)
-        ctx = ctx.advanced(strategy, state, move)
-    return ctx
-
-
-def _check_turn(strategy: Strategy, ctx: StrategyContext) -> None:
-    if not strategy.is_applicable(ctx.state.partition):
+def _check_turn(strategy: Strategy, state: GameState) -> None:
+    if not strategy.is_applicable(state.partition):
         raise InapplicableStrategyError(
-            f"{strategy.id} is not applicable to {ctx.state.partition.label()}"
+            f"{strategy.id} is not applicable to {state.partition.label()}"
         )
-    if status(ctx.state) is not GameStatus.ONGOING:
+    if status(state) is not GameStatus.ONGOING:
         raise ValueError("game is over")
-    if strategy.side is not None and ctx.state.turn != strategy.side:
-        raise ValueError(f"{strategy.id} plays as {strategy.side}; it is {ctx.state.turn}'s turn")
+    if strategy.side is not None and state.turn != strategy.side:
+        raise ValueError(f"{strategy.id} plays as {strategy.side}; it is {state.turn}'s turn")
 
 
-def choose_move(strategy: Strategy, ctx: StrategyContext) -> Move:
-    """The rule's deterministic move for this position."""
-    _check_turn(strategy, ctx)
-    move = strategy.choose(ctx.aux, ctx.state)
-    return move
+def choose_move(strategy: Strategy, state: GameState, aux: Hashable) -> Move:
+    """The rule's deterministic move for this position, given the rule's
+    bookkeeping `aux` (from `initial_aux` and `advance`)."""
+    _check_turn(strategy, state)
+    return strategy.choose(aux, state)
 
 
-def admissible_moves(strategy: Strategy, ctx: StrategyContext) -> list[Move]:
+def admissible_moves(strategy: Strategy, state: GameState, aux: Hashable) -> list[Move]:
     """Every move the first matching clause allows; contains choose_move's pick."""
-    _check_turn(strategy, ctx)
-    moves = strategy.admissible(ctx.aux, ctx.state)
+    _check_turn(strategy, state)
+    moves = strategy.admissible(aux, state)
     if not moves:
         raise StrategyTotalityError(f"{strategy.id}: no clause matched")
     return moves

@@ -116,6 +116,22 @@ class TestVerify:
         )
         assert code == 0 and "universal" in text
 
+    def test_fail_rendering_literal(self):
+        code, text = invoke(
+            ["verify", "4,4,4", "--colors", "4", "--side", "alice", "--strategy", "a1"]
+        )
+        assert code == 1
+        assert text == (
+            "FAIL: alice playing a1 does not meet its goal on K_{4,4,4} with 4 colors "
+            "(deterministic); counterexample:\n"
+            "K_{4,4,4} with 4 colors: a1 (Alice) vs search (Bob)\n"
+            "   1. alice part 0 color 1 (fresh)\n"
+            "   2. bob   part 0 color 2 (fresh)\n"
+            "   3. alice part 1 color 3 (fresh)\n"
+            "   4. bob   part 0 color 4 (fresh)\n"
+            "outcome: bob_won using 4 colors\n"
+        )
+
     def test_inapplicable_is_usage_error(self):
         code, _text = invoke(
             ["verify", "5,5,1", "--colors", "3", "--side", "alice", "--strategy", "a2"]
@@ -163,6 +179,30 @@ class TestConjectures:
         assert code == 2
 
 
+# Boards of the K_{2,2}, 3-color game in which a1 opens part 0, Bob also
+# colors part 0 fresh, and a1 then starts part 1.
+BOARD_EMPTY = (
+    "  part 0: 0/2 colored, colors [-]\n"
+    "  part 1: 0/2 colored, colors [-]\n"
+    "  colors used 0/3\n"
+)
+BOARD_PART_0_FULL = (
+    "  part 0: 2/2 colored, colors [1,2] started by alice\n"
+    "  part 1: 0/2 colored, colors [-]\n"
+    "  colors used 2/3\n"
+)
+BOARD_FIXED = (
+    "  part 0: 2/2 colored, colors [1,2] started by alice\n"
+    "  part 1: 1/2 colored, colors [3] started by alice\n"
+    "  colors used 3/3\n"
+)
+BOARD_FINAL = (
+    "  part 0: 2/2 colored, colors [1,2] started by alice\n"
+    "  part 1: 2/2 colored, colors [3] started by alice\n"
+    "  colors used 3/3\n"
+)
+
+
 class TestPlay:
     def test_scripted_human_loses_to_anchor(self):
         # Human plays Bob with first legal move each turn; the anchor rule
@@ -193,6 +233,68 @@ class TestPlay:
         assert code == 2
         assert "aborted" in text
 
+    def test_human_session_literal(self):
+        code, text = invoke(
+            ["play", "2,2", "--colors", "3", "--alice", "a1", "--bob", "human"],
+            stdin_text="banana\n99\n0\n0\n",
+        )
+        assert code == 0
+        prompt = (
+            "legal moves:\n"
+            "  [0] part 0 fresh\n"
+            "  [1] part 0 reuse\n"
+            "  [2] part 1 fresh\n"
+            "bob to move; enter a move index:\n"
+        )
+        assert text == (
+            "K_{2,2} with 3 colors\n"
+            + BOARD_EMPTY
+            + "alice plays part 0 with color 1 (fresh)\n"
+            "  part 0: 1/2 colored, colors [1] started by alice\n"
+            "  part 1: 0/2 colored, colors [-]\n"
+            "  colors used 1/3\n"
+            + prompt
+            + "invalid input 'banana'; try again\n"
+            + prompt
+            + "invalid input '99'; try again\n"
+            + prompt
+            + "bob plays part 0 with color 2 (fresh)\n"
+            + BOARD_PART_0_FULL
+            + "alice plays part 1 with color 3 (fresh)\n"
+            ">>> fixing move: every part is now started <<<\n"
+            + BOARD_FIXED
+            + "legal moves:\n"
+            "  [0] part 1 reuse\n"
+            "bob to move; enter a move index:\n"
+            "bob plays part 1 with color 3 (reuse)\n"
+            + BOARD_FINAL
+            + "fixing move was move 3\n"
+            "outcome: alice_won using 3 colors\n"
+        )
+
+    def test_two_engines_literal(self):
+        code, text = invoke(
+            ["play", "2,2", "--colors", "3", "--alice", "a1", "--bob", "b1"]
+        )
+        assert code == 0
+        assert text == (
+            "K_{2,2} with 3 colors\n"
+            + BOARD_EMPTY
+            + "alice plays part 0 with color 1 (fresh)\n"
+            "  part 0: 1/2 colored, colors [1] started by alice\n"
+            "  part 1: 0/2 colored, colors [-]\n"
+            "  colors used 1/3\n"
+            "bob plays part 0 with color 2 (fresh)\n"
+            + BOARD_PART_0_FULL
+            + "alice plays part 1 with color 3 (fresh)\n"
+            ">>> fixing move: every part is now started <<<\n"
+            + BOARD_FIXED
+            + "bob plays part 1 with color 3 (reuse)\n"
+            + BOARD_FINAL
+            + "fixing move was move 3\n"
+            "outcome: alice_won using 3 colors\n"
+        )
+
     def test_two_engines_render_board(self):
         code, text = invoke(
             ["play", "2,2", "--colors", "3", "--alice", "a1", "--bob", "b1"]
@@ -211,6 +313,8 @@ class TestUsageErrors:
             ["verify", "3,3", "--colors", "0", "--side", "alice", "--strategy", "a1"],
             ["nosuchcommand"],
             [],
+            ["simulate", "3,3", "--colors", "0", "--alice", "a1", "--bob", "b1"],
+            ["play", "3,3", "--colors", "0", "--alice", "a1", "--bob", "b1"],
         ],
     )
     def test_exit_code_two(self, argv):
@@ -237,3 +341,31 @@ class TestCache:
             load_cache(str(path))
         code, _ = invoke(["solve", "3,3,3"])
         assert code == 2  # CLI reports the corrupt cache as a usage error
+
+    def test_hit_leaves_file_untouched(self, tmp_path, monkeypatch):
+        path = tmp_path / "wins.cache"
+        monkeypatch.setenv("CHROMA_CACHE", str(path))
+        assert invoke(["solve", "3,3,3"])[0] == 0
+        assert invoke(["scan", "--max-n", "2"])[0] == 0  # adds 1, 2 and 1,1
+        assert path.read_text() == "1;1;1\n1,1;2;1\n2;1;11\n3,3,3;4;0111111\n"
+        before = (path.read_bytes(), path.stat().st_mtime_ns)
+        assert invoke(["solve", "3,3,3"])[0] == 0
+        assert invoke(["solve", "1,1"])[0] == 0
+        assert invoke(["scan", "--max-n", "2"])[0] == 0
+        assert (path.read_bytes(), path.stat().st_mtime_ns) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["wins.cache"]
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "2,1;3;01",  # well formed, but the table says chi_g(K_{2,1}) = 2
+            "3,1,1;3;110",  # no table value; Alice must win with n = 5 colors
+        ],
+    )
+    def test_inconsistent_record_is_usage_error(self, tmp_path, monkeypatch, capsys, line):
+        path = tmp_path / "wins.cache"
+        path.write_text(line + "\n")
+        monkeypatch.setenv("CHROMA_CACHE", str(path))
+        code, text = invoke(["solve", "2,1"])
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err.startswith(f"error: bad cache file {path}")

@@ -57,6 +57,8 @@ class TestPartition:
             Partition((2, 3))
         with pytest.raises(ValueError):
             Partition(())
+        with pytest.raises(ValueError):
+            Partition((True,))  # bool is an int subclass, not a part size
 
     def test_of_accepts_any_order(self):
         assert Partition.of([1, 3, 2]).sizes == (3, 2, 1)

@@ -16,14 +16,13 @@ from chromagame.core import (
     apply_move,
     initial_state,
     legal_moves,
+    play,
     status,
 )
 from chromagame.strategies import (
     InapplicableStrategyError,
-    StrategyContext,
     admissible_moves,
     choose_move,
-    context_from_history,
     get_strategy,
     is_applicable,
 )
@@ -90,9 +89,9 @@ class TestApplicability:
 
     def test_inapplicable_rejected(self):
         p = Partition.of([5, 5, 1])
-        ctx = StrategyContext.initial(get_strategy("a2"), initial_state(p, 5))
+        state, aux = initial_state(p, 5), get_strategy("a2").initial_aux(p)
         with pytest.raises(InapplicableStrategyError):
-            choose_move(get_strategy("a2"), ctx)
+            choose_move(get_strategy("a2"), state, aux)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
@@ -102,7 +101,13 @@ class TestApplicability:
 
 
 def ctx_after(strategy, partition, budget, moves):
-    return context_from_history(strategy, partition, budget, moves)
+    """The rule's (state, aux) after replaying `moves` through `core.play`."""
+    state = initial_state(partition, budget)
+    aux = strategy.initial_aux(partition)
+    script = iter(moves)
+    for before, move, state in play(state, lambda _state: next(script, None)):
+        aux = strategy.advance(aux, before, move)
+    return state, aux
 
 
 class TestChooseExamples:
@@ -110,16 +115,16 @@ class TestChooseExamples:
         p = Partition.of([4, 4, 4])
         a1 = get_strategy("a1")
         ctx = ctx_after(a1, p, 5, [])
-        assert choose_move(a1, ctx) == Move(0, True)
-        assert admissible_moves(a1, ctx) == [Move(0, True), Move(1, True), Move(2, True)]
+        assert choose_move(a1, *ctx) == Move(0, True)
+        assert admissible_moves(a1, *ctx) == [Move(0, True), Move(1, True), Move(2, True)]
 
     def test_triple_anchor_mirrors_bob_in_anchor(self):
         p = Partition.of([3, 3, 3])
         a2 = get_strategy("a2")
         ctx = ctx_after(a2, p, 4, [])
-        assert choose_move(a2, ctx) == Move(0, True)  # anchor part opened first
+        assert choose_move(a2, *ctx) == Move(0, True)  # anchor part opened first
         ctx = ctx_after(a2, p, 4, [Move(0, True), Move(0, True)])
-        assert choose_move(a2, ctx) == Move(0, False)  # repeat Bob's color there
+        assert choose_move(a2, *ctx) == Move(0, False)  # repeat Bob's color there
 
     def test_triple_anchor_falls_through_when_anchor_full(self):
         p = Partition.of([3, 3, 3])
@@ -127,22 +132,22 @@ class TestChooseExamples:
         moves = [Move(0, True), Move(1, True), Move(0, False), Move(0, True)]
         # Bob just filled the anchor; the mirror clause cannot apply.
         ctx = ctx_after(a2, p, 9, moves)
-        assert choose_move(a2, ctx) == Move(2, True)
+        assert choose_move(a2, *ctx) == Move(2, True)
 
     def test_odd_opener_first_move_smallest_odd(self):
         p = Partition.of([3, 2, 2])
         a3 = get_strategy("a3")
         ctx = ctx_after(a3, p, 4, [])
-        assert choose_move(a3, ctx) == Move(0, True)
+        assert choose_move(a3, *ctx) == Move(0, True)
         p = Partition.of([5, 3, 2, 1])
         ctx = ctx_after(a3, p, 6, [])
-        assert choose_move(a3, ctx) == Move(3, True)  # the singleton is smallest odd
+        assert choose_move(a3, *ctx) == Move(3, True)  # the singleton is smallest odd
 
     def test_echo_responder_answers_in_alices_part(self):
         p = Partition.of([4, 4, 4])
         b1 = get_strategy("b1")
         ctx = ctx_after(b1, p, 4, [Move(0, True)])
-        assert choose_move(b1, ctx) == Move(0, True)
+        assert choose_move(b1, *ctx) == Move(0, True)
 
     def test_echo_responder_prefers_fullest_partial(self):
         p = Partition.of([4, 3, 2])
@@ -151,58 +156,58 @@ class TestChooseExamples:
         # uncolored vertex left while part 0 has three.
         moves = [Move(2, True), Move(0, True), Move(1, True), Move(1, True), Move(1, False)]
         ctx = ctx_after(b1, p, 9, moves)
-        assert choose_move(b1, ctx) == Move(2, True)
+        assert choose_move(b1, *ctx) == Move(2, True)
 
     def test_echo_responder_starts_largest(self):
         p = Partition.of([4, 2, 1, 1])
         b1 = get_strategy("b1")
         ctx = ctx_after(b1, p, 8, [Move(2, True)])  # Alice filled a singleton
-        assert choose_move(b1, ctx) == Move(0, True)
+        assert choose_move(b1, *ctx) == Move(0, True)
 
     def test_small_last_echo_takes_singleton_before_pair(self):
         p = Partition.of([2, 2, 1, 1])
         b1p = get_strategy("b1p")
         ctx = ctx_after(b1p, p, 4, [Move(2, True)])
-        assert choose_move(b1p, ctx) == Move(3, True)
+        assert choose_move(b1p, *ctx) == Move(3, True)
         b1 = get_strategy("b1")
         ctx = ctx_after(b1, p, 4, [Move(2, True)])
-        assert choose_move(b1, ctx) == Move(0, True)
+        assert choose_move(b1, *ctx) == Move(0, True)
 
     def test_singleton_rules_fire_first(self):
         p = Partition.of([4, 3, 1])
         a1p = get_strategy("a1p")
         ctx = ctx_after(a1p, p, 8, [])
-        assert choose_move(a1p, ctx) == Move(2, True)
+        assert choose_move(a1p, *ctx) == Move(2, True)
         a3p = get_strategy("a3p")
         podd = Partition.of([4, 3, 1, 1])
         ctx = ctx_after(a3p, podd, 8, [])
-        assert choose_move(a3p, ctx) == Move(2, True)
+        assert choose_move(a3p, *ctx) == Move(2, True)
         # a2p opens its anchor part before grabbing the singleton
         a2p = get_strategy("a2p")
         ctx = ctx_after(a2p, p, 8, [])
-        assert choose_move(a2p, ctx) == Move(1, True)
+        assert choose_move(a2p, *ctx) == Move(1, True)
         ctx = ctx_after(a2p, p, 8, [Move(1, True), Move(0, True)])
-        assert choose_move(a2p, ctx) == Move(2, True)
+        assert choose_move(a2p, *ctx) == Move(2, True)
 
     def test_composite_opening_script(self):
         p = Partition.of([4, 3, 3, 3, 1, 1])
         comp = get_strategy("acomposite")
         ctx = ctx_after(comp, p, 8, [])
-        assert choose_move(comp, ctx) == Move(4, True)  # first singleton
+        assert choose_move(comp, *ctx) == Move(4, True)  # first singleton
         # Bob answers in the other singleton: anchor play takes over
         ctx = ctx_after(comp, p, 8, [Move(4, True), Move(5, True)])
-        assert choose_move(comp, ctx) == Move(1, True)
+        assert choose_move(comp, *ctx) == Move(1, True)
         # Bob answers in a triple: fill the other singleton first
         ctx = ctx_after(comp, p, 8, [Move(4, True), Move(2, True)])
-        assert choose_move(comp, ctx) == Move(5, True)
+        assert choose_move(comp, *ctx) == Move(5, True)
         # Bob contests the size-4 part: join it with a reuse
         ctx = ctx_after(comp, p, 8, [Move(4, True), Move(0, True)])
-        assert choose_move(comp, ctx) == Move(0, False)
+        assert choose_move(comp, *ctx) == Move(0, False)
         # ... and complete it if Bob stays there
         ctx = ctx_after(
             comp, p, 8, [Move(4, True), Move(0, True), Move(0, False), Move(0, True)]
         )
-        assert choose_move(comp, ctx) == Move(0, False)
+        assert choose_move(comp, *ctx) == Move(0, False)
 
 
 ODD_SHAPES = [(3,), (3, 2), (3, 2, 2), (5, 2, 2), (3, 3, 3), (3, 2, 2, 2), (1,), (5, 3, 1)]
@@ -272,11 +277,11 @@ def test_choice_is_first_admissible_and_legal(name):
         for budget in (max(2, partition.k - 1), partition.k + 1, partition.n):
             for _trial in range(20):
                 state = initial_state(partition, budget)
-                ctx = StrategyContext.initial(strategy, state)
+                aux = strategy.initial_aux(partition)
                 while status(state) is GameStatus.ONGOING:
                     if state.turn == strategy.side:
-                        moves = admissible_moves(strategy, ctx)
-                        pick = choose_move(strategy, ctx)
+                        moves = admissible_moves(strategy, state, aux)
+                        pick = choose_move(strategy, state, aux)
                         legal = legal_moves(state)
                         assert pick == moves[0]
                         assert all(m in legal for m in moves)
@@ -285,26 +290,24 @@ def test_choice_is_first_admissible_and_legal(name):
                         move = pick
                     else:
                         move = rng.choice(legal_moves(state))
-                    nxt = apply_move(state, move)
-                    ctx = ctx.advanced(strategy, nxt, move)
-                    state = nxt
+                    aux = strategy.advance(aux, state, move)
+                    state = apply_move(state, move)
 
 
 def test_context_rebuilds_from_history():
     p = Partition.of([4, 3, 3, 3, 1, 1])
     comp = get_strategy("acomposite")
     moves = [Move(4, True), Move(0, True), Move(0, False), Move(0, True), Move(0, False)]
-    ctx = ctx_after(comp, p, 8, moves)
-    assert ctx.aux[0] == "watch"
-    # step-by-step advance agrees with the one-shot rebuild
+    rebuilt_state, rebuilt_aux = ctx_after(comp, p, 8, moves)
+    assert rebuilt_aux[0] == "watch"
+    # step-by-step advance agrees with the rebuild through core.play
     state = initial_state(p, 8)
-    stepped = StrategyContext.initial(comp, state)
+    aux = comp.initial_aux(p)
     for m in moves:
-        nxt = apply_move(state, m)
-        stepped = stepped.advanced(comp, nxt, m)
-        state = nxt
-    assert stepped.aux == ctx.aux
-    assert stepped.state == ctx.state
+        aux = comp.advance(aux, state, m)
+        state = apply_move(state, m)
+    assert aux == rebuilt_aux
+    assert state == rebuilt_state
 
 
 def test_random_strategy_is_seed_deterministic():
