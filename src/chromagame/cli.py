@@ -10,6 +10,7 @@ and scan.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -40,9 +41,9 @@ from .solver import (
     DETERMINISTIC,
     UNIVERSAL,
     WinVector,
-    cached_win_vector,
     load_cache,
     save_cache,
+    win_vector,
 )
 from .strategies import (
     HumanPlayer,
@@ -83,8 +84,7 @@ def _emit(out, text: str) -> None:
     print(text, file=out)
 
 
-def _solve_payload(partition: Partition, cache) -> dict:
-    vec = cached_win_vector(partition, cache)
+def _solve_payload(partition: Partition, vec: WinVector) -> dict:
     return {
         "partition": list(partition.sizes),
         "chi_g": vec.chi_g,
@@ -101,11 +101,13 @@ def _solve_payload(partition: Partition, cache) -> dict:
 def cmd_solve(args, out) -> int:
     partition = _partition(args.partition)
     cache_path = os.environ.get(CACHE_ENV)
-    cache = _load_cache_checked(cache_path) if cache_path else None
-    miss = cache is not None and str(partition) not in cache
-    payload = _solve_payload(partition, cache)
-    if miss:
-        save_cache(cache_path, cache)
+    cache = _load_cache_checked(cache_path) if cache_path else {}
+    vec = cache.get(str(partition))
+    if vec is None:
+        vec = cache[str(partition)] = win_vector(partition)
+        if cache_path:
+            save_cache(cache_path, cache)
+    payload = _solve_payload(partition, vec)
     if args.format == "json":
         _emit(out, json.dumps(payload))
         return 0
@@ -275,7 +277,7 @@ def cmd_verify(args, out) -> int:
 
 def cmd_scan(args, out) -> int:
     cache_path = os.environ.get(CACHE_ENV)
-    rows = scan(args.max_n, args.filter, jobs=args.jobs)
+    rows = scan(args.max_n, args.filter)
     if cache_path:
         cache = _load_cache_checked(cache_path)
         missing = [row for row in rows if str(row.partition) not in cache]
@@ -335,6 +337,7 @@ def cmd_conjecture(args, out) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chromagame",
@@ -387,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     p.add_argument("--out")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
 
     p = sub.add_parser("conjecture", help="run a conjecture check")
     p.add_argument("which", choices=("b1p", "nonopt"))

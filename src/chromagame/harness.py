@@ -5,7 +5,6 @@ closed-form table, and the two conjecture checks."""
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -24,9 +23,9 @@ from .core import (
 from .formulas import table1_chi_g
 from .solver import (
     DETERMINISTIC,
-    cached_win_vector,
     refute_restricted,
     restricted_value,
+    win_vector,
 )
 from .strategies import (
     InapplicableStrategyError,
@@ -287,10 +286,9 @@ class ScanRow:
 SCAN_CSV_HEADER = "partition,n,k,chi_g,table1,agrees,monotone,winvector,ms"
 
 
-def scan_one(sizes: tuple[int, ...]) -> ScanRow:
-    partition = Partition(sizes)
+def scan_one(partition: Partition, memo: dict[tuple, bool]) -> ScanRow:
     start = time.perf_counter()
-    vec = cached_win_vector(partition, None)
+    vec = win_vector(partition, memo)
     ms = (time.perf_counter() - start) * 1000.0
     table = table1_chi_g(partition)
     return ScanRow(
@@ -306,18 +304,15 @@ def scan_one(sizes: tuple[int, ...]) -> ScanRow:
     )
 
 
-def scan(max_n: int, filter_: str = "all", jobs: int = 1) -> list[ScanRow]:
+def scan(max_n: int, filter_: str = "all") -> list[ScanRow]:
     """Solve every shape up to max_n vertices and compare with the table.
 
-    Rows come back canonically sorted, so the output is identical for any
-    worker count (the ms timing column aside).
+    All shapes share one memo, so a row's ms column depends on the shapes
+    solved before it. Rows come back canonically sorted (by n, then by
+    ascending sizes), which is not the order `all_partitions` yields.
     """
-    parts = [p.sizes for p in all_partitions(max_n, filter_)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(scan_one, parts, chunksize=4))
-    else:
-        rows = [scan_one(sizes) for sizes in parts]
+    memo: dict[tuple, bool] = {}
+    rows = [scan_one(p, memo) for p in all_partitions(max_n, filter_)]
     rows.sort(key=lambda r: (r.n, r.partition.sizes))
     return rows
 
@@ -410,9 +405,10 @@ def check_b1p_conjecture(max_n: int, mode: str = DETERMINISTIC) -> ConjectureRep
     the singleton-aware echo rule must still win for him."""
     violations: list[ConjectureViolation] = []
     cases = 0
+    memo: dict[tuple, bool] = {}
     partitions = all_partitions(max_n)
     for partition in partitions:
-        chi = cached_win_vector(partition, None).chi_g
+        chi = win_vector(partition, memo).chi_g
         for budget in range(1, chi):
             cases += 1
             line = refute_restricted(partition, budget, BOB, "b1p", mode)

@@ -1,17 +1,5 @@
-"""Exact game evaluation by memoized minimax over count states.
-
-Two symmetries collapse the search space: parts of equal size are
-interchangeable, and concrete colors are interchangeable. Both are already
-implicit in the count-based state model, so the transposition key is just
-the sorted multiset of per-part count tuples plus the remaining budget and
-the turn.
-
-A third structural fact ends the search early: once every part has at least
-one colored vertex, reuse keeps every remaining vertex colorable, so the
-game can only finish fully colored. Positions past that point are decided
-leaves. The core test suite verifies this against the vertex-explicit
-oracle rather than assuming it.
-"""
+"""Exact game evaluation by minimax over pooled keys (see `canonicalize`).
+The test suite checks the reduction against the vertex-explicit oracle."""
 
 from __future__ import annotations
 
@@ -45,36 +33,59 @@ UNIVERSAL = "universal"
 
 
 def canonicalize(state: GameState) -> tuple:
-    """Symmetry-reduced fingerprint; equal keys imply equal game value."""
-    parts = tuple(sorted((p.size, p.colored, p.distinct) for p in state.parts))
-    return (parts, state.budget - state.used, state.turn)
+    """The pooled key `(sizes of unstarted parts, uncolored vertices in
+    started parts, colors left, turn)`; equal keys imply equal game value.
+
+    Full parts are inert. A started part takes a reuse of its own color on
+    every vertex it has left, and a fresh color while the budget lasts, so
+    started parts differ only in how many vertices they have left, and only
+    the total matters. The budget already absorbs each part's count of
+    distinct colors. With no unstarted part, the game can only end fully
+    colored; with an unstarted part and no colors left, Bob has won.
+    """
+    unstarted = tuple(sorted((p.size for p in state.parts if p.colored == 0), reverse=True))
+    pool = sum(p.size - p.colored for p in state.parts if p.colored)
+    return (unstarted, pool, state.budget - state.used, state.turn)
+
+
+def _value(key: tuple, memo: dict[tuple, bool]) -> bool:
+    """Alice's minimax value of a pooled key. A node's children are a fresh
+    color into one unstarted part of each distinct size and, when the pool
+    is non-empty, a reuse or a fresh color in the pool. A node with an
+    unsolved child pushes it and is looked at again once it is solved."""
+    stack = [key]
+    while stack:
+        node = stack[-1]
+        unstarted, pool, left, turn = node
+        if not unstarted or not left:  # decided, see canonicalize
+            memo[node] = not unstarted
+        if node in memo:
+            stack.pop()
+            continue
+        nxt = BOB if turn == ALICE else ALICE
+        children = [
+            (unstarted[:i] + unstarted[i + 1 :], pool + size - 1, left - 1, nxt)
+            for i, size in enumerate(unstarted)
+            if i == 0 or unstarted[i - 1] != size
+        ]
+        if pool:
+            children += [(unstarted, pool - 1, left, nxt), (unstarted, pool - 1, left - 1, nxt)]
+        values = [memo.get(child) for child in children]
+        wanted = turn == ALICE  # Alice needs one winning child, Bob one losing child
+        if wanted in values:
+            memo[node] = wanted
+        elif None in values:
+            stack.append(children[values.index(None)])
+        else:
+            memo[node] = not wanted
+    return memo[key]
 
 
 def alice_wins(partition: Partition, budget: int) -> bool:
     """True iff Alice has a winning strategy with exactly `budget` colors."""
     if not 1 <= budget <= partition.n:
         raise ValueError(f"budget must be in 1..{partition.n}")
-    memo: dict[tuple, bool] = {}
-
-    def solve(state: GameState) -> bool:
-        st = status(state)
-        if st is not GameStatus.ONGOING:
-            return st is GameStatus.ALICE_WON
-        if fixing_move_played(state):
-            return True
-        key = canonicalize(state)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        children = (solve(apply_move(state, m)) for m in legal_moves(state))
-        if state.turn == ALICE:
-            value = any(children)
-        else:
-            value = all(children)
-        memo[key] = value
-        return value
-
-    return solve(initial_state(partition, budget))
+    return _value((partition.sizes, 0, budget, ALICE), {})
 
 
 @dataclass(frozen=True)
@@ -135,12 +146,14 @@ class WinVector:
         return vec
 
 
-def win_vector(partition: Partition) -> WinVector:
+def win_vector(partition: Partition, memo: Optional[dict[tuple, bool]] = None) -> WinVector:
     """Solve every budget. Budgets below k cannot even color the k mutually
-    adjacent parts, so they are settled without search."""
+    adjacent parts, so they are settled without search. Keys hold colors
+    left, not the budget, so one `memo` serves every budget and shape."""
+    memo = {} if memo is None else memo
     wins = [False] * (partition.k - 1)
     for t in range(partition.k, partition.n + 1):
-        wins.append(alice_wins(partition, t))
+        wins.append(_value((partition.sizes, 0, t, ALICE), memo))
     return WinVector(partition, tuple(wins))
 
 
@@ -176,17 +189,6 @@ def save_cache(path: str, cache: dict[str, WinVector]) -> None:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-
-
-def cached_win_vector(partition: Partition, cache: Optional[dict[str, WinVector]]) -> WinVector:
-    if cache is None:
-        return win_vector(partition)
-    key = str(partition)
-    vec = cache.get(key)
-    if vec is None:
-        vec = win_vector(partition)
-        cache[key] = vec
-    return vec
 
 
 class _RestrictedSearch:
@@ -297,7 +299,9 @@ def _check_restricted_args(
         raise InapplicableStrategyError(
             f"{strategy.id} is not applicable to {partition.label()}"
         )
-    if strategy.side is not None and strategy.side != fixed_side:
+    if strategy.side is None:  # random, human: they pick by part order, which keys drop
+        raise InapplicableStrategyError(f"{strategy.id} is not an analyzed rule")
+    if strategy.side != fixed_side:
         raise InapplicableStrategyError(
             f"{strategy.id} is a rule for {strategy.side}, not {fixed_side}"
         )

@@ -438,9 +438,6 @@ class RandomMover(Strategy):
         rng = random.Random(seed * 1_000_003 + state.move_count)
         return rng.choice(legal_moves(state))
 
-    def memo_extra(self, aux, state):
-        return state.move_count
-
 
 class HumanPlayer(Strategy):
     """Interactive seat; the caller wires in a picker callback."""

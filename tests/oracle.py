@@ -72,24 +72,28 @@ class VertexGame:
         return None
 
     def alice_wins(self, assignment=None, _memo=None):
-        """Brute-force minimax value: can Alice force a full coloring?"""
+        """Brute-force minimax value: can Alice force a full coloring?
+
+        Same rule as `result`, with the memo read first and the legal moves
+        listed once per position.
+        """
         if assignment is None:
             assignment = self.initial()
         if _memo is None:
             _memo = {}
-        res = self.result(assignment)
-        if res is not None:
-            return res == "alice_won"
         if assignment in _memo:
             return _memo[assignment]
-        children = (
-            self.play(assignment, part, v, c)
-            for part, v, c in self.legal_vertex_moves(assignment)
-        )
-        if self.mover(assignment) == "alice":
-            value = any(self.alice_wins(ch, _memo) for ch in children)
+        if all(c != UNCOLORED for verts in assignment for c in verts):
+            value = True
         else:
-            value = all(self.alice_wins(ch, _memo) for ch in children)
+            moves = self.legal_vertex_moves(assignment)
+            children = (self.play(assignment, part, v, c) for part, v, c in moves)
+            if not moves:
+                value = False
+            elif self.mover(assignment) == "alice":
+                value = any(self.alice_wins(ch, _memo) for ch in children)
+            else:
+                value = all(self.alice_wins(ch, _memo) for ch in children)
         _memo[assignment] = value
         return value
 

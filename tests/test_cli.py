@@ -7,6 +7,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromagame.cli import run
 
@@ -315,11 +317,54 @@ class TestUsageErrors:
             [],
             ["simulate", "3,3", "--colors", "0", "--alice", "a1", "--bob", "b1"],
             ["play", "3,3", "--colors", "0", "--alice", "a1", "--bob", "b1"],
+            ["verify", "2,2", "--colors", "2", "--side", "bob", "--strategy", "random:0"],
         ],
     )
     def test_exit_code_two(self, argv):
         code, _ = invoke(argv)
         assert code == 2
+
+
+SEAT_NAMES = st.sampled_from(
+    ["a1", "a2", "a3", "a1p", "a2p", "a3p", "acomposite", "b1", "b1p",
+     "random", "random:3", "random:x", "human", "a9", "", "-x"]
+)
+# Small shapes only: solve and verify on a large shape can run for minutes.
+SMALL_PARTITION = st.lists(st.integers(-1, 3), max_size=4).map(
+    lambda sizes: ",".join(map(str, sizes))
+)
+
+
+class TestArbitraryInput:
+    """Whatever the arguments, `run` returns 0, 1 or 2 and raises nothing."""
+
+    @given(command=st.sampled_from(["formula", "bounds"]), text=st.text(max_size=30))
+    @settings(max_examples=150, deadline=None)
+    def test_partition_text(self, command, text):
+        code, _ = invoke([command, text])
+        assert code in (0, 1, 2)
+
+    @given(
+        command=st.sampled_from(["simulate", "play", "verify"]),
+        partition=SMALL_PARTITION,
+        colors=st.integers(-1, 8),
+        seats=st.tuples(SEAT_NAMES, SEAT_NAMES),
+        side=st.sampled_from(["alice", "bob", "carol"]),
+        seed=st.integers(-2, 5),
+        universal=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_game_commands(self, command, partition, colors, seats, side, seed, universal):
+        argv = [command, partition, "--colors", str(colors)]
+        if command == "verify":
+            argv += ["--side", side, "--strategy", seats[0]]
+            argv += ["--universal"] if universal else []
+        else:
+            argv += ["--alice", seats[0], "--bob", seats[1]]
+        if command == "simulate":
+            argv += ["--seed", str(seed)]
+        code, _ = invoke(argv, stdin_text="0\n" * 12)
+        assert code in (0, 1, 2)
 
 
 class TestCache:

@@ -25,6 +25,7 @@ from chromagame.solver import (
     DETERMINISTIC,
     UNIVERSAL,
     WinVector,
+    _value,
     alice_wins,
     canonicalize,
     chi_g,
@@ -105,6 +106,30 @@ class TestCanonicalize:
             assert canonicalize(base) == canonicalize(permuted)
 
 
+@pytest.mark.parametrize("sizes", [tuple(p.sizes) for p in all_partitions(6)])
+def test_pooled_key_values_every_reachable_position(sizes):
+    """The value the solver gives a position's pooled key equals a plain
+    minimax over full count states, with no key and no early leaves."""
+    partition = Partition(sizes)
+    for budget in range(1, partition.n + 1):
+        plain: dict = {}
+        pooled: dict = {}
+
+        def value(state):
+            key = (state.parts, state.move_count)
+            if key not in plain:
+                st = status(state)
+                if st is not GameStatus.ONGOING:
+                    plain[key] = st is GameStatus.ALICE_WON
+                else:
+                    children = [value(apply_move(state, m)) for m in legal_moves(state)]
+                    plain[key] = any(children) if state.turn == ALICE else all(children)
+                assert _value(canonicalize(state), pooled) == plain[key], (state, budget)
+            return plain[key]
+
+        value(initial_state(partition, budget))
+
+
 @pytest.mark.parametrize(
     "sizes", [tuple(p.sizes) for p in all_partitions(6)]
 )
@@ -140,6 +165,12 @@ class TestWinVector:
         assert vec.monotone and vec.anomalies == ()
         broken = WinVector(Partition.of([2, 2]), (False, True, False, True))
         assert not broken.monotone and broken.anomalies == (2,)
+
+    def test_deep_game_needs_no_recursion(self):
+        # 1200 moves deep; the table value of K_{600,600} is 3.
+        partition = Partition((600, 600))
+        assert alice_wins(partition, 3) is True
+        assert alice_wins(partition, 2) is False
 
     def test_value_independent_of_input_order_and_rerun(self):
         a = chi_g(Partition.of([2, 3, 2]))
@@ -237,6 +268,16 @@ class TestRestricted:
             restricted_value(Partition.of([4, 4]), 0, ALICE, "a1")
         with pytest.raises(ValueError):
             restricted_value(Partition.of([4, 4]), 9, ALICE, "a1")
+
+    @pytest.mark.parametrize("name", ["random:0", "human"])
+    @pytest.mark.parametrize("side", [ALICE, BOB])
+    def test_unanalyzed_seats_rejected(self, name, side):
+        # Their choices follow part order, which the search key drops.
+        p = Partition.of([2, 2])
+        with pytest.raises(InapplicableStrategyError):
+            restricted_value(p, 2, side, name)
+        with pytest.raises(InapplicableStrategyError):
+            refute_restricted(p, 2, side, name)
 
     def test_restricted_value_accepts_strategy_objects_and_names(self):
         from chromagame.strategies import get_strategy
