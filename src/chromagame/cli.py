@@ -76,8 +76,17 @@ def _strategy(name: str) -> Strategy:
 def _load_cache_checked(path: str):
     try:
         return load_cache(path)
+    except OSError as exc:
+        raise UsageError(f"cannot read cache file {path}: {exc.strerror}") from None
     except ValueError as exc:
         raise UsageError(f"bad cache file {path}: {exc}") from None
+
+
+def _save_cache_checked(path: str, cache: dict[str, WinVector]) -> None:
+    try:
+        save_cache(path, cache)
+    except OSError as exc:
+        raise UsageError(f"cannot write cache file {path}: {exc.strerror}") from None
 
 
 def _emit(out, text: str) -> None:
@@ -106,7 +115,7 @@ def cmd_solve(args, out) -> int:
     if vec is None:
         vec = cache[str(partition)] = win_vector(partition)
         if cache_path:
-            save_cache(cache_path, cache)
+            _save_cache_checked(cache_path, cache)
     payload = _solve_payload(partition, vec)
     if args.format == "json":
         _emit(out, json.dumps(payload))
@@ -287,11 +296,14 @@ def cmd_scan(args, out) -> int:
                 tuple([False] * (row.k - 1) + [b == "1" for b in row.winvector]),
             )
         if missing:
-            save_cache(cache_path, cache)
+            _save_cache_checked(cache_path, cache)
     csv_text = scan_csv(rows)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(csv_text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc.strerror}") from None
         _emit(out, f"wrote {len(rows)} rows to {args.out}")
     else:
         _emit(out, csv_text.rstrip("\n"))

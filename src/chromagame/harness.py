@@ -28,9 +28,9 @@ from .solver import (
     win_vector,
 )
 from .strategies import (
-    InapplicableStrategyError,
     RandomMover,
     Strategy,
+    check_seat,
     get_strategy,
 )
 
@@ -150,14 +150,7 @@ def seat_picker(
     Both rules' bookkeeping advances on every move, whoever made it."""
     seats = {ALICE: alice, BOB: bob}
     for seat, strat in seats.items():
-        if not strat.is_applicable(partition):
-            raise InapplicableStrategyError(
-                f"{strat.id} is not applicable to {partition.label()}"
-            )
-        if strat.side is not None and strat.side != seat:
-            raise InapplicableStrategyError(
-                f"{strat.id} is a rule for {strat.side}; it cannot play as {seat}"
-            )
+        check_seat(strat, partition, seat)
     aux = {seat: strat.initial_aux(partition) for seat, strat in seats.items()}
     previous: Optional[GameState] = None
 

@@ -25,6 +25,7 @@ from .formulas import table1_chi_g
 from .strategies import (
     InapplicableStrategyError,
     Strategy,
+    check_seat,
     get_strategy,
 )
 
@@ -208,28 +209,40 @@ class _RestrictedSearch:
         self.memo: dict[tuple, bool] = {}
 
     def key(self, state: GameState, aux: Hashable) -> tuple:
-        flags = self.strategy.part_flags(aux, state)
+        """Memo key: the parts as sorted `(size, colored, is anchor, moved
+        last)` tuples, the colors left, and the rule's `memo_extra`. One
+        search has one partition and one budget, and within it positions
+        with equal keys have equal values:
+
+        - `distinct` is dropped. The game reads it only through `used`, which
+          the colors left fix, and through `distinct >= 1` (may the part take
+          a reuse), which holds iff `colored >= 1`: a part's first color is
+          always fresh. No rule reads it, and `b1` asks only `used < budget`.
+        - `turn` is dropped. Each move colors one vertex, so the turn is the
+          parity of the colored total, which the parts fix.
+        - The anchor flag (`anchor_part`) and, for rules that read it, the
+          last-move flag mark the parts a rule names by index. Every other
+          part is read only through its size and colored count.
+        - The sort forgets which of two equal-size parts is which. Clauses
+          pick parts by these four fields alone, so from two positions with
+          one key the pinned seat's picks carry the same fields and lead to
+          positions with one key again. The exception is a clause that
+          offers equal-size parts with different counts, where the
+          lowest-index tie-break may pick differently: a3's fill (the fill
+          of `_start_or_fill` acts only once every part is started, where
+          the search stops). a3 reuses whenever some part is partial and
+          otherwise starts an odd part chosen by size, so its moves, and its
+          value, depend only on the pooled key of `canonicalize`, which both
+          picks leave equal.
+        """
+        anchor = self.strategy.anchor_part(aux, state)
         last = state.last_move.part if (
             self.strategy.needs_last_move and state.last_move is not None
         ) else None
         parts = tuple(
-            sorted(
-                (
-                    p.size,
-                    p.colored,
-                    p.distinct,
-                    flags[i] if flags else 0,
-                    1 if i == last else 0,
-                )
-                for i, p in enumerate(state.parts)
-            )
+            sorted((p.size, p.colored, i == anchor, i == last) for i, p in enumerate(state.parts))
         )
-        return (
-            parts,
-            state.budget - state.used,
-            state.turn,
-            self.strategy.memo_extra(aux, state),
-        )
+        return (parts, state.budget - state.used, self.strategy.memo_extra(aux, state))
 
     def moves_for(self, state: GameState, aux: Hashable) -> list[Move]:
         if state.turn == self.fixed_side:
@@ -295,16 +308,9 @@ def _check_restricted_args(
         raise ValueError(f"fixed_side must be {ALICE!r} or {BOB!r}")
     if not 1 <= budget <= partition.n:
         raise ValueError(f"budget must be in 1..{partition.n}")
-    if not strategy.is_applicable(partition):
-        raise InapplicableStrategyError(
-            f"{strategy.id} is not applicable to {partition.label()}"
-        )
+    check_seat(strategy, partition, fixed_side)
     if strategy.side is None:  # random, human: they pick by part order, which keys drop
         raise InapplicableStrategyError(f"{strategy.id} is not an analyzed rule")
-    if strategy.side != fixed_side:
-        raise InapplicableStrategyError(
-            f"{strategy.id} is a rule for {strategy.side}, not {fixed_side}"
-        )
 
 
 def restricted_value(
@@ -316,11 +322,7 @@ def restricted_value(
 ) -> bool:
     """Does `fixed_side`, pinned to `strategy`, reach its goal against every
     opponent line? (Alice's goal: full coloring; Bob's: a stuck part.)"""
-    strategy = _resolve(strategy)
-    _check_restricted_args(partition, budget, fixed_side, strategy)
-    search = _RestrictedSearch(strategy, fixed_side, mode)
-    state = initial_state(partition, budget)
-    return search.achieved(state, strategy.initial_aux(partition))
+    return refute_restricted(partition, budget, fixed_side, strategy, mode) is None
 
 
 def refute_restricted(

@@ -1,9 +1,12 @@
 """Move-selection rules for both players.
 
 Every rule is a priority list of clauses evaluated on the owner's turn; the
-first clause that matches the position decides the move. `admissible_moves`
-returns every move the matched clause allows (the universal reading of each
-"pick any part" freedom), while `choose_move` applies the deterministic
+first clause that matches the position decides the move. A clause is a
+function that returns the moves it allows, or an empty list when it does
+not match, so each rule's `admissible` is its clauses joined by `or`, and
+rules share clauses instead of copying them. `admissible_moves` returns
+every move the matched clause allows (the universal reading of each "pick
+any part" freedom), while `choose_move` applies the deterministic
 tie-breaks: lowest part index first, and the smallest already-present color
 when a concrete reused color is needed for a transcript.
 
@@ -11,9 +14,9 @@ Alice's rules:
   a1   start unstarted parts with new colors, otherwise reuse anywhere.
   a2   anchor play on a fixed size-3 part: open it, mirror the opponent
        inside it, then fall back to a1 behavior.
-  a3   (odd vertex total) open the smallest odd part, answer the opponent's
-       move inside the same still-open part, keep filling open parts by
-       reuse, and start only odd-size parts.
+  a3   (odd vertex total) answer the opponent's move inside the same
+       still-open part, keep filling open parts by reuse, and start only
+       odd-size parts, the smallest first (so it opens the smallest odd part).
   a1p/a2p/a3p  the same rules with "color an uncolored singleton with a new
        color" spliced in: at top priority for a1p/a3p, directly below the
        anchor-part clauses for a2p.
@@ -86,8 +89,9 @@ class Strategy:
             raise StrategyTotalityError(f"{self.id}: no clause matched")
         return moves[0]
 
-    def part_flags(self, aux: Hashable, state: GameState) -> Optional[tuple[int, ...]]:
-        """Per-part markers that must survive canonicalization (anchor parts)."""
+    def anchor_part(self, aux: Hashable, state: GameState) -> Optional[int]:
+        """The part the rule names by index (an anchor), which solver memo
+        keys must keep apart from its equal-size peers; None if there is none."""
         return None
 
     def memo_extra(self, aux: Hashable, state: GameState) -> Hashable:
@@ -98,12 +102,72 @@ class Strategy:
         return f"<Strategy {self.id}>"
 
 
-def _fresh_into(parts: list[int]) -> list[Move]:
-    return [Move(i, True) for i in parts]
+# ---------------------------------------------------------------------------
+# clauses: each returns the moves it allows, [] when it does not match
 
 
-def _reuse_into(parts: list[int]) -> list[Move]:
-    return [Move(i, False) for i in parts]
+def _singletons(state: GameState) -> list[Move]:
+    """A new color on an uncolored singleton."""
+    return [Move(i, True) for i, p in enumerate(state.parts) if p.size == 1 and p.is_uncolored]
+
+
+def _fill(state: GameState) -> list[Move]:
+    """A reuse in a partially colored part."""
+    return [Move(i, False) for i in partially_colored_parts(state)]
+
+
+def _start_or_fill(state: GameState) -> list[Move]:
+    """a1: a new color into an unstarted part, else a reuse in a partial one."""
+    return [Move(i, True) for i in uncolored_parts(state)] or _fill(state)
+
+
+def _start_sized(
+    state: GameState,
+    pick: Callable[..., Optional[int]],
+    fits: Callable[[int], bool] = lambda size: True,
+) -> list[Move]:
+    """A new color into the unstarted parts of the `pick` (min or max) size
+    among those whose size `fits`."""
+    parts = [i for i in uncolored_parts(state) if fits(state.parts[i].size)]
+    size = pick((state.parts[i].size for i in parts), default=None)
+    return [Move(i, True) for i in parts if state.parts[i].size == size]
+
+
+def _anchor(state: GameState, anchor: int, opened: bool) -> list[Move]:
+    """a2's anchor clauses on the fixed part `anchor`: open it with a new
+    color unless `opened` says the opening is accounted for, then mirror an
+    opponent's move inside it by reuse while it is still open."""
+    part = state.parts[anchor]
+    if not opened and not part.is_full:
+        return [Move(anchor, True)]
+    last = state.last_move
+    if last is not None and last.part == anchor and 0 < part.colored < part.size:
+        return [Move(anchor, False)]
+    return []
+
+
+def _echo(state: GameState, fresh: bool) -> list[Move]:
+    """Answer inside the part just played while it is still open."""
+    last = state.last_move
+    if last is None or state.parts[last.part].is_full:
+        return []
+    return [Move(last.part, fresh)]
+
+
+def _echo_or_fill(state: GameState) -> list[Move]:
+    """b1: echo, else fill the partial parts with the fewest uncolored
+    vertices; a new color whenever the budget allows."""
+    fresh = state.used < state.budget
+    echo = _echo(state, fresh)
+    if echo:
+        return echo
+    partial = partially_colored_parts(state)
+    fewest = min((state.parts[i].uncolored for i in partial), default=None)
+    return [Move(i, fresh) for i in partial if state.parts[i].uncolored == fewest]
+
+
+# ---------------------------------------------------------------------------
+# rules
 
 
 class FreshStarter(Strategy):
@@ -113,10 +177,7 @@ class FreshStarter(Strategy):
     side = ALICE
 
     def admissible(self, aux, state):
-        unstarted = uncolored_parts(state)
-        if unstarted:
-            return _fresh_into(unstarted)
-        return _reuse_into(partially_colored_parts(state))
+        return _start_or_fill(state)
 
 
 class SingletonFreshStarter(FreshStarter):
@@ -125,42 +186,7 @@ class SingletonFreshStarter(FreshStarter):
     id = "a1p"
 
     def admissible(self, aux, state):
-        singles = [i for i in uncolored_parts(state) if state.parts[i].size == 1]
-        if singles:
-            return _fresh_into(singles)
-        return super().admissible(aux, state)
-
-
-def _anchor_moves(
-    state: GameState,
-    anchor: int,
-    opened: bool,
-    singletons_between: bool,
-) -> list[Move]:
-    """Shared clause body for a2/a2p and their delegated forms.
-
-    `anchor` is the fixed size-3 part; `opened` records whether the opening
-    move into it has already been accounted for.
-    """
-    parts = state.parts
-    if not opened and not parts[anchor].is_full:
-        return [Move(anchor, True)]
-    last = state.last_move
-    if (
-        last is not None
-        and last.part == anchor
-        and not parts[anchor].is_full
-        and parts[anchor].colored > 0
-    ):
-        return [Move(anchor, False)]
-    if singletons_between:
-        singles = [i for i in uncolored_parts(state) if parts[i].size == 1]
-        if singles:
-            return _fresh_into(singles)
-    unstarted = uncolored_parts(state)
-    if unstarted:
-        return _fresh_into(unstarted)
-    return _reuse_into(partially_colored_parts(state))
+        return _singletons(state) or _start_or_fill(state)
 
 
 class TripleAnchor(Strategy):
@@ -169,13 +195,9 @@ class TripleAnchor(Strategy):
     id = "a2"
     side = ALICE
     needs_last_move = True
-    with_singleton_rule = False
 
     def is_applicable(self, partition):
         return partition.k >= 2 and 3 in partition.sizes
-
-    def anchor(self, partition: Partition) -> int:
-        return partition.sizes.index(3)
 
     def initial_aux(self, partition):
         return False  # opening move into the anchor not yet played
@@ -185,14 +207,11 @@ class TripleAnchor(Strategy):
             return True
         return aux
 
-    def admissible(self, aux, state):
-        return _anchor_moves(
-            state, self.anchor(state.partition), aux, self.with_singleton_rule
-        )
+    def anchor_part(self, aux, state):
+        return state.partition.sizes.index(3)
 
-    def part_flags(self, aux, state):
-        anchor = self.anchor(state.partition)
-        return tuple(1 if i == anchor else 0 for i in range(state.partition.k))
+    def admissible(self, aux, state):
+        return _anchor(state, self.anchor_part(aux, state), aux) or _start_or_fill(state)
 
     def memo_extra(self, aux, state):
         return aux
@@ -202,49 +221,35 @@ class SingletonTripleAnchor(TripleAnchor):
     """a2p: a2 with the singleton rule just below the anchor-part clauses."""
 
     id = "a2p"
-    with_singleton_rule = True
+
+    def admissible(self, aux, state):
+        return (
+            _anchor(state, self.anchor_part(aux, state), aux)
+            or _singletons(state)
+            or _start_or_fill(state)
+        )
 
 
 class OddOpener(Strategy):
-    """a3: open odd parts, echo the opponent inside open parts, reuse."""
+    """a3: echo the opponent inside open parts, reuse, start odd parts.
+
+    The last clause comes up empty only on a board with no partial part and
+    only full or even unstarted parts. That board has an odd move count, so
+    it is never Alice's turn when this seat has played the rule from the start.
+    """
 
     id = "a3"
     side = ALICE
     needs_last_move = True
-    singletons_first = False
 
     def is_applicable(self, partition):
         return partition.n % 2 == 1
 
     def admissible(self, aux, state):
-        parts = state.parts
-        if self.singletons_first:
-            singles = [i for i in uncolored_parts(state) if parts[i].size == 1]
-            if singles:
-                return _fresh_into(singles)
-        if state.move_count == 0:
-            odd = [r for r in state.partition.sizes if r % 2 == 1]
-            smallest = min(odd)
-            return _fresh_into(
-                [i for i, r in enumerate(state.partition.sizes) if r == smallest]
-            )
-        last = state.last_move
-        if last is not None and 0 < parts[last.part].colored < parts[last.part].size:
-            return [Move(last.part, False)]
-        partial = partially_colored_parts(state)
-        if partial:
-            return _reuse_into(partial)
-        odd_unstarted = [
-            i for i in uncolored_parts(state) if parts[i].size % 2 == 1
-        ]
-        if not odd_unstarted:
-            # Provably unreachable when this seat has played the rule from
-            # the start: a board with only full and even unstarted parts has
-            # an odd move count, so it cannot be Alice's turn.
-            return []
-        smallest = min(parts[i].size for i in odd_unstarted)
-        return _fresh_into(
-            [i for i in odd_unstarted if parts[i].size == smallest]
+        return (
+            _echo(state, False)
+            or _fill(state)
+            or _start_sized(state, min, lambda size: size % 2 == 1)
         )
 
 
@@ -252,7 +257,9 @@ class SingletonOddOpener(OddOpener):
     """a3p: a3 with the singleton rule at top priority (same first move)."""
 
     id = "a3p"
-    singletons_first = True
+
+    def admissible(self, aux, state):
+        return _singletons(state) or super().admissible(aux, state)
 
 
 class EchoResponder(Strategy):
@@ -262,45 +269,22 @@ class EchoResponder(Strategy):
     id = "b1"
     side = BOB
     needs_last_move = True
-    small_parts_last = False
-
-    def _filler(self, state: GameState, part: int) -> Move:
-        return Move(part, state.used < state.budget)
 
     def admissible(self, aux, state):
-        parts = state.parts
-        last = state.last_move
-        if last is not None and not parts[last.part].is_full:
-            return [self._filler(state, last.part)]
-        partial = partially_colored_parts(state)
-        if partial:
-            fewest = min(parts[i].uncolored for i in partial)
-            return [
-                self._filler(state, i)
-                for i in partial
-                if parts[i].uncolored == fewest
-            ]
-        unstarted = uncolored_parts(state)
-        if not unstarted:
-            return []
-        if self.small_parts_last:
-            big = [i for i in unstarted if parts[i].size >= 3]
-            if big:
-                largest = max(parts[i].size for i in big)
-                return _fresh_into([i for i in big if parts[i].size == largest])
-            smallest = min(parts[i].size for i in unstarted)
-            return _fresh_into(
-                [i for i in unstarted if parts[i].size == smallest]
-            )
-        largest = max(parts[i].size for i in unstarted)
-        return _fresh_into([i for i in unstarted if parts[i].size == largest])
+        return _echo_or_fill(state) or _start_sized(state, max)
 
 
 class SmallLastEchoResponder(EchoResponder):
     """b1p: b1 that starts leftover singletons before leftover pairs."""
 
     id = "b1p"
-    small_parts_last = True
+
+    def admissible(self, aux, state):
+        return (
+            _echo_or_fill(state)
+            or _start_sized(state, max, lambda size: size >= 3)
+            or _start_sized(state, min)
+        )
 
 
 class CompositeOpening(Strategy):
@@ -380,36 +364,22 @@ class CompositeOpening(Strategy):
 
     def admissible(self, aux, state):
         phase = aux[0]
-        parts = state.parts
-        if phase == "open":
-            singles = [i for i, p in enumerate(parts) if p.size == 1]
-            return _fresh_into(singles)
-        if phase == "fill_singleton":
-            singles = [
-                i for i, p in enumerate(parts) if p.size == 1 and p.is_uncolored
-            ]
-            return _fresh_into(singles)
+        if phase in ("open", "fill_singleton"):
+            return _singletons(state)
         if phase in ("join_big", "close_big"):
             return [Move(0, False)]
         if phase == "anchor":
-            return _anchor_moves(state, aux[1], aux[2], False)
+            return _anchor(state, aux[1], aux[2]) or _start_or_fill(state)
         if phase == "anchor_s":
-            return _anchor_moves(state, aux[1], aux[2], True)
+            return _anchor(state, aux[1], aux[2]) or _singletons(state) or _start_or_fill(state)
         if phase == "solo":
-            singles = [i for i in uncolored_parts(state) if parts[i].size == 1]
-            if singles:
-                return _fresh_into(singles)
-            unstarted = uncolored_parts(state)
-            if unstarted:
-                return _fresh_into(unstarted)
-            return _reuse_into(partially_colored_parts(state))
+            return _singletons(state) or _start_or_fill(state)
         # reply1/reply2/watch are opponent-turn phases
         return []
 
-    def part_flags(self, aux, state):
+    def anchor_part(self, aux, state):
         if aux[0] in ("anchor", "anchor_s", "fill_singleton"):
-            vj = aux[1]
-            return tuple(1 if i == vj else 0 for i in range(state.partition.k))
+            return aux[1]
         return None
 
     def memo_extra(self, aux, state):
@@ -493,6 +463,20 @@ def is_applicable(strategy: Strategy | str, partition: Partition) -> bool:
     if isinstance(strategy, str):
         strategy = get_strategy(strategy)
     return strategy.is_applicable(partition)
+
+
+def check_seat(strategy: Strategy, partition: Partition, seat: str) -> None:
+    """Raise InapplicableStrategyError unless `strategy` may take `seat` on
+    `partition`: the shape must suit the rule, and a rule for one side cannot
+    play the other (`random` and `human` take either seat)."""
+    if not strategy.is_applicable(partition):
+        raise InapplicableStrategyError(
+            f"{strategy.id} is not applicable to {partition.label()}"
+        )
+    if strategy.side is not None and strategy.side != seat:
+        raise InapplicableStrategyError(
+            f"{strategy.id} is a rule for {strategy.side}; it cannot play as {seat}"
+        )
 
 
 def _check_turn(strategy: Strategy, state: GameState) -> None:

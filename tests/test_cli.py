@@ -140,6 +140,15 @@ class TestVerify:
         )
         assert code == 2
 
+    def test_side_mismatch_message_shared_with_simulate(self, capsys):
+        message = "error: a1 is a rule for alice; it cannot play as bob\n"
+        for argv in (
+            ["verify", "3,3", "--colors", "3", "--side", "bob", "--strategy", "a1"],
+            ["simulate", "3,3", "--colors", "3", "--alice", "a1", "--bob", "a1"],
+        ):
+            assert invoke(argv) == (2, "")
+            assert capsys.readouterr().err == message
+
 
 class TestScan:
     def test_csv_to_stdout(self):
@@ -156,6 +165,11 @@ class TestScan:
         written = path.read_text().strip().splitlines()
         assert written[0].startswith("partition,")
         assert len(written) > 5
+
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "absent" / "rows.csv"
+        assert invoke(["scan", "--max-n", "3", "--out", str(path)]) == (2, "")
+        assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
 
     def test_jobs_flag(self):
         code_1, text_1 = invoke(["scan", "--max-n", "6", "--jobs", "2"])
@@ -414,3 +428,11 @@ class TestCache:
         code, text = invoke(["solve", "2,1"])
         assert code == 2 and text == ""
         assert capsys.readouterr().err.startswith(f"error: bad cache file {path}")
+
+    @pytest.mark.parametrize("where,action", [("", "read"), ("absent/wins.cache", "write")])
+    def test_unusable_path_is_usage_error(self, tmp_path, monkeypatch, capsys, where, action):
+        path = tmp_path / where  # a directory, or a file in a missing directory
+        monkeypatch.setenv("CHROMA_CACHE", str(path))
+        assert invoke(["solve", "3,3"]) == (2, "")
+        assert capsys.readouterr().err.startswith(f"error: cannot {action} cache file {path}: ")
+        assert list(tmp_path.iterdir()) == []

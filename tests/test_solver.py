@@ -25,6 +25,7 @@ from chromagame.solver import (
     DETERMINISTIC,
     UNIVERSAL,
     WinVector,
+    _RestrictedSearch,
     _value,
     alice_wins,
     canonicalize,
@@ -35,7 +36,7 @@ from chromagame.solver import (
     save_cache,
     win_vector,
 )
-from chromagame.strategies import InapplicableStrategyError
+from chromagame.strategies import InapplicableStrategyError, get_strategy
 
 from oracle import VertexGame
 
@@ -128,6 +129,51 @@ def test_pooled_key_values_every_reachable_position(sizes):
             return plain[key]
 
         value(initial_state(partition, budget))
+
+
+RULES = ("a1", "a1p", "a2", "a2p", "a3", "a3p", "acomposite", "b1", "b1p")
+
+
+# K_{3,3,1,1} is the smallest shape on which a key without the anchor flag
+# gives a wrong value (a2 and a2p at 4 and 5 colors).
+@pytest.mark.parametrize("sizes", [tuple(p.sizes) for p in all_partitions(6)] + [(3, 3, 1, 1)])
+def test_pinned_search_values_every_reachable_position(sizes):
+    """At every position the pinned game reaches, the pinned search's value
+    equals a plain minimax keyed on the full (parts, turn, last move, aux),
+    with no early leaves: no memo key merges positions of unequal value."""
+    partition = Partition(sizes)
+    for name in RULES:
+        strategy = get_strategy(name)
+        if not strategy.is_applicable(partition):
+            continue
+        for mode in (DETERMINISTIC, UNIVERSAL):
+            for budget in range(1, partition.n + 1):
+                search = _RestrictedSearch(strategy, strategy.side, mode)
+                plain: dict = {}
+
+                def value(state, aux):
+                    key = (state.parts, state.turn, state.last_move, aux)
+                    if key not in plain:
+                        st = status(state)
+                        if st is not GameStatus.ONGOING:
+                            plain[key] = (st is GameStatus.ALICE_WON) == (strategy.side == ALICE)
+                        else:
+                            if state.turn != strategy.side:
+                                moves = legal_moves(state)
+                            elif mode == UNIVERSAL:
+                                moves = strategy.admissible(aux, state)
+                            else:
+                                moves = [strategy.choose(aux, state)]
+                            children = [
+                                value(apply_move(state, m), strategy.advance(aux, state, m))
+                                for m in moves
+                            ]
+                            plain[key] = all(children)
+                        where = (name, mode, budget, state)
+                        assert search.achieved(state, aux) == plain[key], where
+                    return plain[key]
+
+                value(initial_state(partition, budget), strategy.initial_aux(partition))
 
 
 @pytest.mark.parametrize(
