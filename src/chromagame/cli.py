@@ -284,11 +284,22 @@ def cmd_verify(args, out) -> int:
     return 1
 
 
+def _write_out(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def cmd_scan(args, out) -> int:
+    # Both paths are checked before the scan, so a bad one is reported at once.
     cache_path = os.environ.get(CACHE_ENV)
+    cache = _load_cache_checked(cache_path) if cache_path else None
+    if args.out:
+        _write_out(args.out, "")
     rows = scan(args.max_n, args.filter)
-    if cache_path:
-        cache = _load_cache_checked(cache_path)
+    if cache is not None:
         missing = [row for row in rows if str(row.partition) not in cache]
         for row in missing:
             cache[str(row.partition)] = WinVector(
@@ -299,11 +310,7 @@ def cmd_scan(args, out) -> int:
             _save_cache_checked(cache_path, cache)
     csv_text = scan_csv(rows)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(csv_text)
-        except OSError as exc:
-            raise UsageError(f"cannot write {args.out}: {exc.strerror}") from None
+        _write_out(args.out, csv_text)
         _emit(out, f"wrote {len(rows)} rows to {args.out}")
     else:
         _emit(out, csv_text.rstrip("\n"))

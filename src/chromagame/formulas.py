@@ -10,9 +10,10 @@ the only authority.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import groupby
+from typing import Callable, Optional
 
-from .core import Partition
+from .core import ALICE, BOB, Partition
 
 EXACT = "exact"
 UPPER = "upper"
@@ -110,69 +111,79 @@ def _dunn_report(partition: Partition) -> BoundReport:
     return BoundReport("dunn", EXACT, dunn_uniform(k, r), True)
 
 
+@dataclass(frozen=True)
+class Guarantee:
+    """One strategy guarantee of the paper: `strategy`, seated as `side`,
+    reaches its goal with `budget(partition)` colors on every shape whose
+    `conditions` hold. An Alice guarantee proves chi_g <= budget; a Bob
+    guarantee proves that budget colors do not suffice, chi_g >= budget + 1.
+    `source` names the bound it proves; each condition is a test paired with
+    the reason reported when it fails."""
+
+    label: str
+    source: str
+    side: str
+    strategy: str
+    budget: Callable[[Partition], int]
+    conditions: tuple[tuple[Callable[[Partition], bool], str], ...] = ()
+
+    def failure(self, partition: Partition) -> Optional[str]:
+        """The reason of the first condition that fails; None if all hold."""
+        for test, why in self.conditions:
+            if not test(partition):
+                return why
+        return None
+
+
+_K3 = (lambda p: p.k >= 3, "needs k >= 3")
+_TRIPLE = (lambda p: 3 in p.sizes, "no part of size exactly 3")
+_NO_TRIPLE = (lambda p: 3 not in p.sizes, "a part of size exactly 3 is present")
+_NO_SINGLETON = (lambda p: p.sizes[-1] >= 2, "singleton present")
+_ODD = (lambda p: p.n % 2 == 1, "n is even")
+_EVEN = (lambda p: p.n % 2 == 0, "n is odd")
+
+# Records of one source are adjacent, in the order `bounds` reports them.
+GUARANTEES = (
+    Guarantee("alice_fresh_starter", "cor_a1", ALICE, "a1", lambda p: 2 * p.k - 1),
+    Guarantee("alice_triple_anchor", "cor_a2", ALICE, "a2", lambda p: 2 * p.k - 2, (_K3, _TRIPLE)),
+    Guarantee("alice_odd_opener", "cor_a3", ALICE, "a3", ceil_half_sum, (_ODD,)),
+    Guarantee("bob_echo_large_parts", "cor_b1_main", BOB, "b1", lambda p: 2 * p.k - 2,
+              ((lambda p: p.sizes[-1] >= 4, "smallest part is below 4"),)),
+    Guarantee("bob_echo_no_triples", "cor_b1_2", BOB, "b1",
+              lambda p: min(2 * p.k - 2, ceil_half_sum(p) - 1), (_K3, _NO_SINGLETON, _NO_TRIPLE)),
+    Guarantee("bob_echo_no_triples_even", "cor_b1_2", BOB, "b1", lambda p: 2 * p.k - 2,
+              (_K3, _NO_SINGLETON, _NO_TRIPLE, _EVEN)),
+    # The size-3 counterpart also needs no singletons: with one present the
+    # bound is simply false (e.g. three colors finish K_{3,3,1}).
+    Guarantee("bob_echo_with_triple", "cor_b1_3", BOB, "b1",
+              lambda p: min(2 * p.k - 3, ceil_half_sum(p) - 1), (_K3, _TRIPLE, _NO_SINGLETON)),
+    Guarantee("bob_echo_with_triple_even", "cor_b1_3", BOB, "b1", lambda p: 2 * p.k - 3,
+              (_K3, _TRIPLE, _NO_SINGLETON, _EVEN)),
+)
+_BY_SOURCE = [(source, tuple(group)) for source, group in groupby(GUARANTEES, lambda g: g.source)]
+
+
 def bounds(partition: Partition) -> list[BoundReport]:
-    """Every bound with its side conditions evaluated for this shape."""
-    sizes = partition.sizes
-    k = partition.k
-    n = partition.n
-    smallest = sizes[-1]
-    has_triple = 3 in sizes
-    cap = ceil_half_sum(partition)
-    even = n % 2 == 0
-
+    """Every bound with its side conditions evaluated for this shape: the
+    table, Dunn's uniform formula, and one report per `GUARANTEES` source.
+    A source's upper bound is the smallest Alice budget among its records
+    that apply, its lower bound the largest Bob budget plus one; when none
+    applies, the reason is the first failing condition of its first record."""
     reports = [table1_report(partition), _dunn_report(partition)]
-
-    reports.append(BoundReport("cor_a1", UPPER, 2 * k - 1, True))
-
-    if k >= 3 and has_triple:
-        reports.append(BoundReport("cor_a2", UPPER, 2 * k - 2, True))
-    else:
-        reason = "needs k >= 3" if k < 3 else "no part of size exactly 3"
-        reports.append(BoundReport("cor_a2", UPPER, None, False, reason))
-
-    if n % 2 == 1:
-        reports.append(BoundReport("cor_a3", UPPER, cap, True))
-    else:
-        reports.append(BoundReport("cor_a3", UPPER, None, False, "n is even"))
-
-    if smallest >= 4:
-        reports.append(BoundReport("cor_b1_main", LOWER, 2 * k - 1, True))
-    else:
-        reports.append(
-            BoundReport("cor_b1_main", LOWER, None, False, "smallest part is below 4")
-        )
-
-    if k >= 3 and smallest >= 2 and not has_triple:
-        value = 2 * k - 1 if even else min(2 * k - 1, cap)
-        reports.append(BoundReport("cor_b1_2", LOWER, value, True))
-    else:
-        if k < 3:
-            reason = "needs k >= 3"
-        elif smallest < 2:
-            reason = "singleton present"
+    for source, group in _BY_SOURCE:
+        values = [g.budget(partition) for g in group if g.failure(partition) is None]
+        kind = UPPER if group[0].side == ALICE else LOWER
+        if not values:
+            reports.append(BoundReport(source, kind, None, False, group[0].failure(partition)))
         else:
-            reason = "a part of size exactly 3 is present"
-        reports.append(BoundReport("cor_b1_2", LOWER, None, False, reason))
-
-    # The size-3 counterpart additionally needs no singletons: with one
-    # present the bound is simply false (e.g. three colors finish K_{3,3,1}).
-    if k >= 3 and has_triple and smallest >= 2:
-        value = 2 * k - 2 if even else min(2 * k - 2, cap)
-        reports.append(BoundReport("cor_b1_3", LOWER, value, True))
-    else:
-        if k < 3:
-            reason = "needs k >= 3"
-        elif not has_triple:
-            reason = "no part of size exactly 3"
-        else:
-            reason = "singleton present"
-        reports.append(BoundReport("cor_b1_3", LOWER, None, False, reason))
-
+            value = min(values) if kind == UPPER else max(values) + 1
+            reports.append(BoundReport(source, kind, value, True))
     return reports
 
 
 def best_bounds(partition: Partition) -> tuple[Optional[int], Optional[int]]:
     """(max applicable lower bound, min applicable upper bound)."""
-    lower = [r.value for r in bounds(partition) if r.applicable and r.kind == LOWER]
-    upper = [r.value for r in bounds(partition) if r.applicable and r.kind == UPPER]
+    reports = [r for r in bounds(partition) if r.applicable]
+    lower = [r.value for r in reports if r.kind == LOWER]
+    upper = [r.value for r in reports if r.kind == UPPER]
     return (max(lower) if lower else None, min(upper) if upper else None)

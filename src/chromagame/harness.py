@@ -20,7 +20,7 @@ from .core import (
     play,
     status,
 )
-from .formulas import table1_chi_g
+from .formulas import GUARANTEES, table1_chi_g
 from .solver import (
     DETERMINISTIC,
     refute_restricted,
@@ -330,42 +330,16 @@ class SuiteCase:
 
 
 def guarantee_suite(max_n: int, mode: str = DETERMINISTIC) -> list[SuiteCase]:
-    """Run every guarantee that applies to every shape with r_k >= 2 and
-    n <= max_n, at the budget each guarantee names."""
+    """Verify every guarantee of `GUARANTEES` that applies to every shape with
+    r_k >= 2 and n <= max_n, at the budget it names (if that is in 1..n)."""
     cases: list[SuiteCase] = []
-
-    def run(label, partition, budget, side, strategy):
-        if budget < 1 or budget > partition.n:
-            return
-        res = verify_guarantee(partition, budget, side, strategy, mode)
-        cases.append(
-            SuiteCase(
-                label, partition, budget, side, strategy, res.passed, res.counterexample
-            )
-        )
-
     for partition in all_partitions(max_n, "no-singletons"):
-        k = partition.k
-        n = partition.n
-        sizes = partition.sizes
-        cap = sum((r + 1) // 2 for r in sizes)
-        has_triple = 3 in sizes
-
-        run("alice_fresh_starter", partition, 2 * k - 1, ALICE, "a1")
-        if k >= 3 and has_triple:
-            run("alice_triple_anchor", partition, 2 * k - 2, ALICE, "a2")
-        if n % 2 == 1:
-            run("alice_odd_opener", partition, cap, ALICE, "a3")
-        if sizes[-1] >= 4:
-            run("bob_echo_large_parts", partition, 2 * k - 2, BOB, "b1")
-        if k >= 3 and not has_triple:
-            run("bob_echo_no_triples", partition, min(2 * k - 2, cap - 1), BOB, "b1")
-            if n % 2 == 0:
-                run("bob_echo_no_triples_even", partition, 2 * k - 2, BOB, "b1")
-        if k >= 3 and has_triple:
-            run("bob_echo_with_triple", partition, min(2 * k - 3, cap - 1), BOB, "b1")
-            if n % 2 == 0:
-                run("bob_echo_with_triple_even", partition, 2 * k - 3, BOB, "b1")
+        for g in GUARANTEES:
+            budget = g.budget(partition)
+            if g.failure(partition) is None and 1 <= budget <= partition.n:
+                case = (g.label, partition, budget, g.side, g.strategy)
+                res = verify_guarantee(*case[1:], mode)
+                cases.append(SuiteCase(*case, res.passed, res.counterexample))
     return cases
 
 

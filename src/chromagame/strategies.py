@@ -190,7 +190,11 @@ class SingletonFreshStarter(FreshStarter):
 
 
 class TripleAnchor(Strategy):
-    """a2: open the fixed size-3 part first and mirror Bob inside it."""
+    """a2: open the fixed size-3 part first and mirror Bob inside it.
+
+    The opening is accounted for once Alice has moved; she moves first, so on
+    her turn that is `move_count > 0` and the rule carries no bookkeeping.
+    """
 
     id = "a2"
     side = ALICE
@@ -199,22 +203,12 @@ class TripleAnchor(Strategy):
     def is_applicable(self, partition):
         return partition.k >= 2 and 3 in partition.sizes
 
-    def initial_aux(self, partition):
-        return False  # opening move into the anchor not yet played
-
-    def advance(self, aux, state, move):
-        if state.turn == ALICE:
-            return True
-        return aux
-
     def anchor_part(self, aux, state):
         return state.partition.sizes.index(3)
 
     def admissible(self, aux, state):
-        return _anchor(state, self.anchor_part(aux, state), aux) or _start_or_fill(state)
-
-    def memo_extra(self, aux, state):
-        return aux
+        anchor = _anchor(state, self.anchor_part(aux, state), state.move_count > 0)
+        return anchor or _start_or_fill(state)
 
 
 class SingletonTripleAnchor(TripleAnchor):
@@ -223,11 +217,8 @@ class SingletonTripleAnchor(TripleAnchor):
     id = "a2p"
 
     def admissible(self, aux, state):
-        return (
-            _anchor(state, self.anchor_part(aux, state), aux)
-            or _singletons(state)
-            or _start_or_fill(state)
-        )
+        anchor = _anchor(state, self.anchor_part(aux, state), state.move_count > 0)
+        return anchor or _singletons(state) or _start_or_fill(state)
 
 
 class OddOpener(Strategy):

@@ -171,6 +171,22 @@ class TestScan:
         assert invoke(["scan", "--max-n", "3", "--out", str(path)]) == (2, "")
         assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
 
+    @pytest.mark.parametrize("bad", ["out", "cache"])
+    def test_bad_path_reported_before_the_scan(self, tmp_path, monkeypatch, capsys, bad):
+        def no_scan(*args):
+            raise AssertionError("scan ran before the paths were checked")
+
+        monkeypatch.setattr("chromagame.cli.scan", no_scan)
+        argv = ["scan", "--max-n", "18"]
+        if bad == "out":
+            argv += ["--out", str(tmp_path / "absent" / "rows.csv")]
+            message = f"error: cannot write {tmp_path / 'absent' / 'rows.csv'}: "
+        else:
+            monkeypatch.setenv("CHROMA_CACHE", str(tmp_path))  # a directory
+            message = f"error: cannot read cache file {tmp_path}: "
+        assert invoke(argv) == (2, "")
+        assert capsys.readouterr().err.startswith(message)
+
     def test_jobs_flag(self):
         code_1, text_1 = invoke(["scan", "--max-n", "6", "--jobs", "2"])
         assert code_1 == 0

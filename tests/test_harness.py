@@ -16,6 +16,7 @@ from chromagame.core import (
     initial_state,
     status,
 )
+from chromagame.formulas import GUARANTEES
 from chromagame.harness import (
     SCAN_CSV_HEADER,
     GameRecord,
@@ -192,6 +193,20 @@ class TestSuites:
 
         cases = guarantee_suite(9, mode=UNIVERSAL)
         assert cases and all(c.passed for c in cases)
+
+    def test_guarantees_hold_on_shapes_with_singletons(self):
+        """`bounds` reports cor_a1, cor_a2 and cor_a3 on shapes with a
+        singleton, which the suite skips: each applicable guarantee must be
+        earned there by its rule too."""
+        cases = 0
+        for partition in all_partitions(12, "with-singletons"):
+            for g in GUARANTEES:
+                budget = g.budget(partition)
+                if g.failure(partition) is None and 1 <= budget <= partition.n:
+                    res = verify_guarantee(partition, budget, g.side, g.strategy)
+                    assert res.passed, (g.label, partition, budget)
+                    cases += 1
+        assert cases == 259
 
     def test_guarantees_bound_the_solver(self):
         from chromagame.solver import win_vector

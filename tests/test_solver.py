@@ -134,46 +134,58 @@ def test_pooled_key_values_every_reachable_position(sizes):
 RULES = ("a1", "a1p", "a2", "a2p", "a3", "a3p", "acomposite", "b1", "b1p")
 
 
+def assert_pinned_search_exact(partition, name, mode, budget):
+    """At every position the pinned game reaches, the pinned search's value
+    equals a plain minimax keyed on the full (parts, turn, last move, aux),
+    with no early leaves: no memo key merges positions of unequal value."""
+    strategy = get_strategy(name)
+    search = _RestrictedSearch(strategy, strategy.side, mode)
+    plain: dict = {}
+
+    def value(state, aux):
+        key = (state.parts, state.turn, state.last_move, aux)
+        if key not in plain:
+            st = status(state)
+            if st is not GameStatus.ONGOING:
+                plain[key] = (st is GameStatus.ALICE_WON) == (strategy.side == ALICE)
+            else:
+                if state.turn != strategy.side:
+                    moves = legal_moves(state)
+                elif mode == UNIVERSAL:
+                    moves = strategy.admissible(aux, state)
+                else:
+                    moves = [strategy.choose(aux, state)]
+                children = [
+                    value(apply_move(state, m), strategy.advance(aux, state, m)) for m in moves
+                ]
+                plain[key] = all(children)
+            where = (name, mode, budget, state)
+            assert search.achieved(state, aux) == plain[key], where
+        return plain[key]
+
+    value(initial_state(partition, budget), strategy.initial_aux(partition))
+
+
 # K_{3,3,1,1} is the smallest shape on which a key without the anchor flag
 # gives a wrong value (a2 and a2p at 4 and 5 colors).
 @pytest.mark.parametrize("sizes", [tuple(p.sizes) for p in all_partitions(6)] + [(3, 3, 1, 1)])
 def test_pinned_search_values_every_reachable_position(sizes):
-    """At every position the pinned game reaches, the pinned search's value
-    equals a plain minimax keyed on the full (parts, turn, last move, aux),
-    with no early leaves: no memo key merges positions of unequal value."""
     partition = Partition(sizes)
     for name in RULES:
-        strategy = get_strategy(name)
-        if not strategy.is_applicable(partition):
+        if not get_strategy(name).is_applicable(partition):
             continue
         for mode in (DETERMINISTIC, UNIVERSAL):
             for budget in range(1, partition.n + 1):
-                search = _RestrictedSearch(strategy, strategy.side, mode)
-                plain: dict = {}
+                assert_pinned_search_exact(partition, name, mode, budget)
 
-                def value(state, aux):
-                    key = (state.parts, state.turn, state.last_move, aux)
-                    if key not in plain:
-                        st = status(state)
-                        if st is not GameStatus.ONGOING:
-                            plain[key] = (st is GameStatus.ALICE_WON) == (strategy.side == ALICE)
-                        else:
-                            if state.turn != strategy.side:
-                                moves = legal_moves(state)
-                            elif mode == UNIVERSAL:
-                                moves = strategy.admissible(aux, state)
-                            else:
-                                moves = [strategy.choose(aux, state)]
-                            children = [
-                                value(apply_move(state, m), strategy.advance(aux, state, m))
-                                for m in moves
-                            ]
-                            plain[key] = all(children)
-                        where = (name, mode, budget, state)
-                        assert search.achieved(state, aux) == plain[key], where
-                    return plain[key]
 
-                value(initial_state(partition, budget), strategy.initial_aux(partition))
+# acomposite applies from n = 15. At 6 and 7 colors its key needs the anchor
+# flag, the last-move flag and the colored counts; larger budgets catch none
+# of these being dropped.
+@pytest.mark.parametrize("budget", [6, 7])
+def test_pinned_search_values_acomposite(budget):
+    partition = Partition((4, 3, 3, 3, 1, 1))
+    assert_pinned_search_exact(partition, "acomposite", DETERMINISTIC, budget)
 
 
 @pytest.mark.parametrize(
