@@ -10,6 +10,7 @@ and scan.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -75,11 +76,15 @@ def _strategy(name: str) -> Strategy:
 
 def _load_cache_checked(path: str):
     try:
-        return load_cache(path)
+        cache = load_cache(path)
     except OSError as exc:
         raise UsageError(f"cannot read cache file {path}: {exc.strerror}") from None
     except ValueError as exc:
         raise UsageError(f"bad cache file {path}: {exc}") from None
+    # A missing file reads as empty; one in a missing directory can never be written.
+    if not cache and not os.path.isdir(os.path.dirname(path) or "."):
+        raise UsageError(f"cannot write cache file {path}: {os.strerror(errno.ENOENT)}")
+    return cache
 
 
 def _save_cache_checked(path: str, cache: dict[str, WinVector]) -> None:
@@ -205,8 +210,9 @@ def cmd_simulate(args, out) -> int:
 
 def _render_board(state: GameState, played: list[MoveRecord], out) -> None:
     for i, p in enumerate(state.parts):
-        colors = ",".join(str(m.color) for m in played if m.part == i and m.fresh) or "-"
-        starter = f" started by {p.starter}" if p.starter else ""
+        moves = [m for m in played if m.part == i]
+        colors = ",".join(str(m.color) for m in moves if m.fresh) or "-"
+        starter = f" started by {moves[0].mover}" if moves else ""
         _emit(out, f"  part {i}: {p.colored}/{p.size} colored, colors [{colors}]{starter}")
     _emit(out, f"  colors used {state.used}/{state.budget}")
 
@@ -409,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     p.add_argument("--out")
-    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
 
     p = sub.add_parser("conjecture", help="run a conjecture check")
     p.add_argument("which", choices=("b1p", "nonopt"))

@@ -3,9 +3,10 @@
 The board K_{r1,...,rk} consists of k independent parts; vertices from
 different parts are always adjacent. Consequently a color used anywhere in
 part i is illegal in every other part, while every color already present in
-a part stays legal for that part's remaining vertices. Per-part counts (how
-many vertices are colored, with how many distinct colors) therefore capture
-a position exactly, and concrete vertex or color identities never matter:
+a part stays legal for that part's remaining vertices. Each part's colored
+count plus the total number of colors used therefore capture a position
+exactly (a part can reuse a color iff it has one, and its first color is
+always fresh), and concrete vertex or color identities never matter:
 a move is just a part index plus the choice between a fresh color and a
 reused one.
 
@@ -98,14 +99,10 @@ class PartState:
 
     size: int
     colored: int = 0
-    distinct: int = 0
-    starter: Optional[str] = None  # ALICE | BOB | None
 
     def __post_init__(self) -> None:
-        if not 0 <= self.distinct <= self.colored <= self.size:
+        if not 0 <= self.colored <= self.size:
             raise ValueError(f"inconsistent part counts: {self}")
-        if (self.starter is None) != (self.colored == 0):
-            raise ValueError(f"starter mark inconsistent with colored count: {self}")
 
     @property
     def is_full(self) -> bool:
@@ -142,13 +139,9 @@ class GameState:
     partition: Partition
     parts: tuple[PartState, ...]
     budget: int
+    used: int = 0  # colors consumed so far (colors never leave the board)
     move_count: int = 0
     last_move: Optional[Move] = None
-
-    @property
-    def used(self) -> int:
-        """Colors consumed so far (colors never leave the board)."""
-        return sum(p.distinct for p in self.parts)
 
     @property
     def turn(self) -> str:
@@ -187,7 +180,7 @@ def legal_moves(state: GameState) -> list[Move]:
             continue
         if has_budget:
             moves.append(Move(i, True))
-        if p.distinct >= 1:
+        if p.colored >= 1:
             moves.append(Move(i, False))
     return moves
 
@@ -203,19 +196,15 @@ def apply_move(state: GameState, move: Move) -> GameState:
         raise IllegalMoveError(f"part {move.part} is fully colored")
     if move.fresh and state.used >= state.budget:
         raise IllegalMoveError("no fresh color left in the budget")
-    if not move.fresh and p.distinct == 0:
+    if not move.fresh and p.colored == 0:
         raise IllegalMoveError(f"no color to reuse in unstarted part {move.part}")
-    successor = PartState(
-        size=p.size,
-        colored=p.colored + 1,
-        distinct=p.distinct + (1 if move.fresh else 0),
-        starter=p.starter if p.starter is not None else state.turn,
-    )
+    successor = PartState(size=p.size, colored=p.colored + 1)
     parts = state.parts[: move.part] + (successor,) + state.parts[move.part + 1 :]
     return GameState(
         partition=state.partition,
         parts=parts,
         budget=state.budget,
+        used=state.used + move.fresh,
         move_count=state.move_count + 1,
         last_move=move,
     )

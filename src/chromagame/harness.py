@@ -23,6 +23,7 @@ from .core import (
 from .formulas import GUARANTEES, table1_chi_g
 from .solver import (
     DETERMINISTIC,
+    alice_wins,
     refute_restricted,
     restricted_value,
     win_vector,
@@ -30,8 +31,9 @@ from .solver import (
 from .strategies import (
     RandomMover,
     Strategy,
+    as_strategy,
     check_seat,
-    get_strategy,
+    is_applicable,
 )
 
 
@@ -175,8 +177,7 @@ def simulate(
     seed: int = 0,
 ) -> GameRecord:
     """Deterministic playout of the two rules against each other."""
-    alice = get_strategy(alice) if isinstance(alice, str) else alice
-    bob = get_strategy(bob) if isinstance(bob, str) else bob
+    alice, bob = as_strategy(alice), as_strategy(bob)
     if isinstance(alice, RandomMover):
         alice = alice.with_seed(seed)
     if isinstance(bob, RandomMover):
@@ -208,12 +209,11 @@ def verify_guarantee(
 ) -> VerifyResult:
     """Check that `side` pinned to `strategy` meets its goal at this budget;
     on failure, attach the first refuting line as a replayable transcript."""
-    strat = get_strategy(strategy) if isinstance(strategy, str) else strategy
+    strat = as_strategy(strategy)
     line = refute_restricted(partition, budget, side, strat, mode)
     counterexample = None
     if line is not None:
-        ids = {ALICE: "search", BOB: "search"}
-        ids[side] = strat.id
+        ids = {ALICE: "search", BOB: "search", side: strat.id}
         counterexample = record_playout(partition, budget, line, ids[ALICE], ids[BOB])
     return VerifyResult(
         partition=partition,
@@ -378,10 +378,9 @@ def check_b1p_conjecture(max_n: int, mode: str = DETERMINISTIC) -> ConjectureRep
         chi = win_vector(partition, memo).chi_g
         for budget in range(1, chi):
             cases += 1
-            line = refute_restricted(partition, budget, BOB, "b1p", mode)
-            if line is not None:
-                record = record_playout(partition, budget, line, "search", "b1p")
-                violations.append(ConjectureViolation(partition, budget, record))
+            result = verify_guarantee(partition, budget, BOB, "b1p", mode)
+            if not result.passed:
+                violations.append(ConjectureViolation(partition, budget, result.counterexample))
     return ConjectureReport(
         max_n=max_n,
         mode=mode,
@@ -423,13 +422,11 @@ def check_nonoptimality_theorem(k: int) -> NonOptimalityReport:
     sizes = (4,) + (3,) * (k - 3) + (1, 1)
     partition = Partition(sizes)
     budget = 2 * k - 4
-    from .solver import alice_wins
-
     solver_upper_ok = alice_wins(partition, budget)
     composite_ok = restricted_value(partition, budget, ALICE, "acomposite")
     rule_results = {}
     for rule in NONOPT_ALICE_RULES:
-        if not get_strategy(rule).is_applicable(partition):
+        if not is_applicable(rule, partition):
             # n = 3k - 3 is even for odd k, so the odd-opener rules may not
             # even apply; a rule that cannot be played cannot win either.
             rule_results[rule] = False

@@ -25,8 +25,8 @@ from .formulas import table1_chi_g
 from .strategies import (
     InapplicableStrategyError,
     Strategy,
+    as_strategy,
     check_seat,
-    get_strategy,
 )
 
 DETERMINISTIC = "deterministic"
@@ -40,8 +40,7 @@ def canonicalize(state: GameState) -> tuple:
     Full parts are inert. A started part takes a reuse of its own color on
     every vertex it has left, and a fresh color while the budget lasts, so
     started parts differ only in how many vertices they have left, and only
-    the total matters. The budget already absorbs each part's count of
-    distinct colors. With no unstarted part, the game can only end fully
+    the total matters. With no unstarted part, the game can only end fully
     colored; with an unstarted part and no colors left, Bob has won.
     """
     unstarted = tuple(sorted((p.size for p in state.parts if p.colored == 0), reverse=True))
@@ -214,10 +213,6 @@ class _RestrictedSearch:
         search has one partition and one budget, and within it positions
         with equal keys have equal values:
 
-        - `distinct` is dropped. The game reads it only through `used`, which
-          the colors left fix, and through `distinct >= 1` (may the part take
-          a reuse), which holds iff `colored >= 1`: a part's first color is
-          always fresh. No rule reads it, and `b1` asks only `used < budget`.
         - `turn` is dropped. Each move colors one vertex, so the turn is the
           parity of the colored total, which the parts fix.
         - The anchor flag (`anchor_part`) and, for rules that read it, the
@@ -251,21 +246,39 @@ class _RestrictedSearch:
             return [self.strategy.choose(aux, state)]
         return legal_moves(state)
 
-    def achieved(self, state: GameState, aux: Hashable) -> bool:
+    def _open(self, state: GameState, aux: Hashable) -> bool | tuple:
+        """The position's value if it is settled or memoized, else a stack
+        frame: its key, the position and an iterator over its moves."""
         st = status(state)
         if st is not GameStatus.ONGOING:
             return (st is GameStatus.ALICE_WON) == self.goal_alice
         if fixing_move_played(state):
             return self.goal_alice
         key = self.key(state, aux)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        value = all(
-            self.achieved(apply_move(state, m), self.strategy.advance(aux, state, m))
-            for m in self.moves_for(state, aux)
-        )
-        self.memo[key] = value
+        if key in self.memo:
+            return self.memo[key]
+        return (key, state, aux, iter(self.moves_for(state, aux)))
+
+    def achieved(self, state: GameState, aux: Hashable) -> bool:
+        """True iff every move `moves_for` allows leads to an achieved
+        position, evaluated on an explicit stack: a failing child settles its
+        frame at once, an unsolved child is pushed and solved first."""
+        found = self._open(state, aux)
+        if isinstance(found, bool):
+            return found
+        stack, value = [found], True  # value: of the child looked at last
+        while stack:
+            key, state, aux, moves = stack[-1]
+            move = next(moves, None) if value else None
+            if move is None:
+                self.memo[key] = value
+                stack.pop()
+                continue
+            found = self._open(apply_move(state, move), self.strategy.advance(aux, state, move))
+            if isinstance(found, bool):
+                value = found
+            else:
+                stack.append(found)
         return value
 
     def refutation(self, state: GameState, aux: Hashable) -> list[Move]:
@@ -295,24 +308,6 @@ class _RestrictedSearch:
         return [move for _before, move, _after in play(state, pick)]
 
 
-def _resolve(strategy: Strategy | str) -> Strategy:
-    if isinstance(strategy, str):
-        return get_strategy(strategy)
-    return strategy
-
-
-def _check_restricted_args(
-    partition: Partition, budget: int, fixed_side: str, strategy: Strategy
-) -> None:
-    if fixed_side not in (ALICE, BOB):
-        raise ValueError(f"fixed_side must be {ALICE!r} or {BOB!r}")
-    if not 1 <= budget <= partition.n:
-        raise ValueError(f"budget must be in 1..{partition.n}")
-    check_seat(strategy, partition, fixed_side)
-    if strategy.side is None:  # random, human: they pick by part order, which keys drop
-        raise InapplicableStrategyError(f"{strategy.id} is not an analyzed rule")
-
-
 def restricted_value(
     partition: Partition,
     budget: int,
@@ -334,8 +329,14 @@ def refute_restricted(
 ) -> Optional[list[Move]]:
     """None when the pinned seat's goal is guaranteed; otherwise the first
     failing line in deterministic search order, played out to a terminal."""
-    strategy = _resolve(strategy)
-    _check_restricted_args(partition, budget, fixed_side, strategy)
+    strategy = as_strategy(strategy)
+    if fixed_side not in (ALICE, BOB):
+        raise ValueError(f"fixed_side must be {ALICE!r} or {BOB!r}")
+    if not 1 <= budget <= partition.n:
+        raise ValueError(f"budget must be in 1..{partition.n}")
+    check_seat(strategy, partition, fixed_side)
+    if strategy.side is None:  # random, human: they pick by part order, which keys drop
+        raise InapplicableStrategyError(f"{strategy.id} is not an analyzed rule")
     search = _RestrictedSearch(strategy, fixed_side, mode)
     state = initial_state(partition, budget)
     aux = strategy.initial_aux(partition)

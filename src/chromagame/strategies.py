@@ -450,10 +450,13 @@ def get_strategy(name: str) -> Strategy:
     raise ValueError(f"unknown strategy {name!r}; expected one of {', '.join(STRATEGY_NAMES)}")
 
 
+def as_strategy(strategy: Strategy | str) -> Strategy:
+    """A strategy object, looking a name up with `get_strategy`."""
+    return get_strategy(strategy) if isinstance(strategy, str) else strategy
+
+
 def is_applicable(strategy: Strategy | str, partition: Partition) -> bool:
-    if isinstance(strategy, str):
-        strategy = get_strategy(strategy)
-    return strategy.is_applicable(partition)
+    return as_strategy(strategy).is_applicable(partition)
 
 
 def check_seat(strategy: Strategy, partition: Partition, seat: str) -> None:

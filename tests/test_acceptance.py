@@ -154,21 +154,28 @@ def test_criterion_6_b1p_conjecture():
 
 
 def enumerate_count_states(partition, budget):
+    """Every reachable count state with its per-part (colored, distinct)
+    counts; the model keeps only their total, so the test tracks each part's."""
     seen = []
-    keys = set()
-    stack = [initial_state(partition, budget)]
-    keys.add((tuple((p.colored, p.distinct) for p in stack[0].parts), 0))
+    start = (initial_state(partition, budget), (0,) * partition.k)
+    keys = {(tuple((p.colored, 0) for p in start[0].parts), 0)}
+    stack = [start]
     while stack:
-        state = stack.pop()
-        seen.append(state)
+        state, distinct = stack.pop()
+        counts = tuple((p.colored, d) for p, d in zip(state.parts, distinct))
+        seen.append((state, counts))
         if status(state) is not GameStatus.ONGOING:
             continue
         for m in legal_moves(state):
             nxt = apply_move(state, m)
-            key = (tuple((p.colored, p.distinct) for p in nxt.parts), nxt.move_count % 2)
+            nxt_distinct = tuple(d + (m.fresh and i == m.part) for i, d in enumerate(distinct))
+            key = (
+                tuple((p.colored, d) for p, d in zip(nxt.parts, nxt_distinct)),
+                nxt.move_count % 2,
+            )
             if key not in keys:
                 keys.add(key)
-                stack.append(nxt)
+                stack.append((nxt, nxt_distinct))
     return seen
 
 
@@ -181,9 +188,9 @@ def test_criterion_7a_engine_oracle_equivalence():
     for partition in partitions:
         for budget in range(1, partition.n + 1):
             game = VertexGame(partition.sizes, budget)
-            for state in enumerate_count_states(partition, budget):
+            for state, counts in enumerate_count_states(partition, budget):
                 states_checked += 1
-                counts = tuple((p.colored, p.distinct) for p in state.parts)
+                assert state.used == sum(d for _c, d in counts)
                 assignment = realize(partition.sizes, counts, budget)
                 assert project_counts(assignment) == counts
                 st = status(state)
@@ -265,12 +272,14 @@ def test_criterion_7b_fixing_outcome_equivalence_10k():
         budget = rng.randint(1, partition.n)
         record = run_playout(partition, budget, f"random:{seed}", "b1", seed)
         state = initial_state(partition, budget)
-        for m in record.move_list():
-            mover = state.turn
-            state = apply_move(state, m)
-            if mover == BOB:
+        starter = {}  # part -> mover of the first move into it
+        for m in record.moves:
+            state = apply_move(state, Move(m.part, m.fresh))
+            starter.setdefault(m.part, m.mover)
+            if m.mover == BOB:
                 b_singletons = [
-                    p for p in state.parts if p.colored == 1 and p.starter == BOB
+                    i for i, p in enumerate(state.parts)
+                    if p.colored == 1 and starter[i] == BOB
                 ]
                 assert len(b_singletons) <= 1
         total += 1
@@ -319,19 +328,12 @@ def test_criterion_7c_canonicalization_invariance_1000():
         moves = sum(c for c, _d in fills)
 
         def build(order):
-            parts = tuple(
-                PartState(
-                    size=sizes[i],
-                    colored=fills[i][0],
-                    distinct=fills[i][1],
-                    starter=ALICE if fills[i][0] else None,
-                )
-                for i in order
-            )
+            parts = tuple(PartState(size=sizes[i], colored=fills[i][0]) for i in order)
             return GameState(
                 partition=Partition(tuple(sizes[i] for i in order)),
                 parts=parts,
                 budget=budget,
+                used=used,
                 move_count=moves,
             )
 

@@ -171,7 +171,7 @@ class TestScan:
         assert invoke(["scan", "--max-n", "3", "--out", str(path)]) == (2, "")
         assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
 
-    @pytest.mark.parametrize("bad", ["out", "cache"])
+    @pytest.mark.parametrize("bad", ["out", "cache", "missing-dir"])
     def test_bad_path_reported_before_the_scan(self, tmp_path, monkeypatch, capsys, bad):
         def no_scan(*args):
             raise AssertionError("scan ran before the paths were checked")
@@ -181,18 +181,15 @@ class TestScan:
         if bad == "out":
             argv += ["--out", str(tmp_path / "absent" / "rows.csv")]
             message = f"error: cannot write {tmp_path / 'absent' / 'rows.csv'}: "
-        else:
+        elif bad == "cache":
             monkeypatch.setenv("CHROMA_CACHE", str(tmp_path))  # a directory
             message = f"error: cannot read cache file {tmp_path}: "
+        else:
+            path = tmp_path / "absent" / "wins.cache"
+            monkeypatch.setenv("CHROMA_CACHE", str(path))
+            message = f"error: cannot write cache file {path}: No such file or directory"
         assert invoke(argv) == (2, "")
         assert capsys.readouterr().err.startswith(message)
-
-    def test_jobs_flag(self):
-        code_1, text_1 = invoke(["scan", "--max-n", "6", "--jobs", "2"])
-        assert code_1 == 0
-        code_2, text_2 = invoke(["scan", "--max-n", "6"])
-        strip_ms = lambda t: [l.rsplit(",", 1)[0] for l in t.strip().splitlines()]
-        assert strip_ms(text_1) == strip_ms(text_2)
 
 
 class TestConjectures:
@@ -348,6 +345,7 @@ class TestUsageErrors:
             ["simulate", "3,3", "--colors", "0", "--alice", "a1", "--bob", "b1"],
             ["play", "3,3", "--colors", "0", "--alice", "a1", "--bob", "b1"],
             ["verify", "2,2", "--colors", "2", "--side", "bob", "--strategy", "random:0"],
+            ["scan", "--max-n", "6", "--jobs", "2"],
         ],
     )
     def test_exit_code_two(self, argv):

@@ -16,6 +16,7 @@ from chromagame.core import (
     GameStatus,
     IllegalMoveError,
     Move,
+    PartState,
     Partition,
     apply_move,
     fixing_move_played,
@@ -93,9 +94,7 @@ class TestApplyMove:
     def test_fresh_move_updates_counts_and_turn(self):
         s = initial_state(Partition.of([3, 3]), budget=5)
         s = apply_move(s, Move(0, True))
-        assert s.parts[0].colored == 1
-        assert s.parts[0].distinct == 1
-        assert s.parts[0].starter == ALICE
+        assert s.parts[0] == PartState(size=3, colored=1)
         assert s.used == 1
         assert s.turn == BOB
         assert s.last_move == Move(0, True)
@@ -104,10 +103,8 @@ class TestApplyMove:
     def test_reuse_adds_no_color(self):
         s = initial_state(Partition.of([3, 3]), budget=5)
         s = play_moves(s, [Move(0, True), Move(0, False)])
-        assert s.parts[0].colored == 2
-        assert s.parts[0].distinct == 1
+        assert s.parts[0] == PartState(size=3, colored=2)
         assert s.used == 1
-        assert s.parts[0].starter == ALICE
 
     def test_illegal_moves_rejected_with_reason(self):
         s = initial_state(Partition.of([2, 2]), budget=2)
@@ -145,28 +142,30 @@ class TestStatus:
 
 
 def enumerate_count_states(partition, budget):
-    """BFS over all reachable count states, terminal or not."""
-    seen = set()
+    """Search over all reachable count states, terminal or not, each with
+    its per-part (colored, distinct) counts. The model keeps only the total
+    of the distinct counts (`used`); the test tracks each part's own."""
     start = initial_state(partition, budget)
-    frontier = [start]
-    seen_keys = {freeze(start)}
+    found = {freeze(start, (0,) * partition.k): start}
+    frontier = [(start, (0,) * partition.k)]
     while frontier:
-        state = frontier.pop()
-        seen.add(state)
+        state, distinct = frontier.pop()
         if status(state) is not GameStatus.ONGOING:
             continue
         for m in legal_moves(state):
             nxt = apply_move(state, m)
-            key = freeze(nxt)
-            if key not in seen_keys:
-                seen_keys.add(key)
-                frontier.append(nxt)
-    return seen
+            nxt_distinct = tuple(d + (m.fresh and i == m.part) for i, d in enumerate(distinct))
+            key = freeze(nxt, nxt_distinct)
+            if key not in found:
+                found[key] = nxt
+                frontier.append((nxt, nxt_distinct))
+    return found
 
 
-def freeze(state):
+def freeze(state, distinct):
+    """A state's per-part (colored, distinct) counts and its turn."""
     return (
-        tuple((p.colored, p.distinct) for p in state.parts),
+        tuple((p.colored, d) for p, d in zip(state.parts, distinct)),
         state.move_count % 2,
     )
 
@@ -196,8 +195,8 @@ def test_oracle_state_equivalence(sizes, budget):
     game = VertexGame(partition.sizes, budget)
     states = enumerate_count_states(partition, budget)
     assert len(states) > 1
-    for state in states:
-        counts = tuple((p.colored, p.distinct) for p in state.parts)
+    for (counts, _parity), state in states.items():
+        assert state.used == sum(d for _c, d in counts)
         assignment = realize(partition.sizes, counts, budget)
         assert project_counts(assignment) == counts
         st_ = status(state)
@@ -231,7 +230,7 @@ def test_started_board_always_completes(sizes, budget):
     frontier = [state]
     while frontier:
         s = frontier.pop()
-        key = freeze(s)
+        key = (s.parts, s.used)
         if key in seen:
             continue
         seen.add(key)
@@ -262,13 +261,15 @@ def random_playout(draw):
 def test_playout_invariants_and_replay(playout):
     partition, budget, moves, final = playout
     state = initial_state(partition, budget)
+    distinct = [0] * partition.k
     fixing_seen = False
     for i, m in enumerate(moves):
         state = apply_move(state, m)
+        distinct[m.part] += m.fresh
         assert state.used <= state.budget
-        assert state.used == sum(p.distinct for p in state.parts)
-        for p in state.parts:
-            assert 0 <= p.distinct <= p.colored <= p.size
+        assert state.used == sum(distinct)
+        for p, d in zip(state.parts, distinct):
+            assert 0 <= d <= p.colored <= p.size
         assert state.turn == (ALICE if (i + 1) % 2 == 0 else BOB)
         fixing_seen = fixing_seen or fixing_move_played(state)
     # replay reproduces the recorded final position

@@ -20,7 +20,7 @@ from chromagame.core import (
     legal_moves,
     status,
 )
-from chromagame.harness import all_partitions
+from chromagame.harness import all_partitions, record_playout
 from chromagame.solver import (
     DETERMINISTIC,
     UNIVERSAL,
@@ -42,38 +42,28 @@ from oracle import VertexGame
 
 
 def make_state(sizes, fills, budget, move_count):
-    """Build a state directly from (colored, distinct, starter) triples."""
-    parts = tuple(
-        PartState(size=s, colored=c, distinct=d, starter=st)
-        for s, (c, d, st) in zip(sizes, fills)
-    )
+    """Build a state directly from per-part (colored, distinct) pairs; the
+    colors used are the sum of the distinct counts."""
+    parts = tuple(PartState(size=s, colored=c) for s, (c, _d) in zip(sizes, fills))
     return GameState(
         partition=Partition(tuple(sizes)),
         parts=parts,
         budget=budget,
+        used=sum(d for _c, d in fills),
         move_count=move_count,
     )
 
 
 class TestCanonicalize:
     def test_equal_size_parts_interchange(self):
-        a = make_state(
-            (4, 4), [(3, 2, ALICE), (1, 1, BOB)], 5, 4
-        )
-        b = make_state(
-            (4, 4), [(1, 1, BOB), (3, 2, ALICE)], 5, 4
-        )
+        a = make_state((4, 4), [(3, 2), (1, 1)], 5, 4)
+        b = make_state((4, 4), [(1, 1), (3, 2)], 5, 4)
         assert canonicalize(a) == canonicalize(b)
 
     def test_turn_distinguishes(self):
-        a = make_state((3, 3), [(1, 1, ALICE), (0, 0, None)], 4, 1)
-        b = make_state((3, 3), [(1, 1, ALICE), (0, 0, None)], 4, 2)
+        a = make_state((3, 3), [(1, 1), (0, 0)], 4, 1)
+        b = make_state((3, 3), [(1, 1), (0, 0)], 4, 2)
         assert canonicalize(a) != canonicalize(b)
-
-    def test_starter_marks_do_not_split_keys(self):
-        a = make_state((3, 3), [(2, 1, ALICE), (1, 1, BOB)], 4, 3)
-        b = make_state((3, 3), [(2, 1, BOB), (1, 1, ALICE)], 4, 3)
-        assert canonicalize(a) == canonicalize(b)
 
     def test_randomized_equal_size_permutations(self):
         rng = random.Random(13)
@@ -88,11 +78,11 @@ class TestCanonicalize:
                 c = rng.randint(0, s)
                 d = rng.randint(1, c) if c else 0
                 used += d
-                fills.append((c, d, rng.choice([ALICE, BOB]) if c else None))
+                fills.append((c, d))
             budget = used + rng.randint(0, 3)
             if budget == 0:
                 continue
-            move_count = sum(c for c, _d, _s in fills)
+            move_count = sum(c for c, _d in fills)
             base = make_state(tuple(sizes), fills, budget, move_count)
             # shuffle equal-size blocks
             order = list(range(len(sizes)))
@@ -117,7 +107,7 @@ def test_pooled_key_values_every_reachable_position(sizes):
         pooled: dict = {}
 
         def value(state):
-            key = (state.parts, state.move_count)
+            key = (state.parts, state.used, state.move_count)
             if key not in plain:
                 st = status(state)
                 if st is not GameStatus.ONGOING:
@@ -136,14 +126,14 @@ RULES = ("a1", "a1p", "a2", "a2p", "a3", "a3p", "acomposite", "b1", "b1p")
 
 def assert_pinned_search_exact(partition, name, mode, budget):
     """At every position the pinned game reaches, the pinned search's value
-    equals a plain minimax keyed on the full (parts, turn, last move, aux),
+    equals a plain minimax keyed on the full (parts, used, turn, last move, aux),
     with no early leaves: no memo key merges positions of unequal value."""
     strategy = get_strategy(name)
     search = _RestrictedSearch(strategy, strategy.side, mode)
     plain: dict = {}
 
     def value(state, aux):
-        key = (state.parts, state.turn, state.last_move, aux)
+        key = (state.parts, state.used, state.turn, state.last_move, aux)
         if key not in plain:
             st = status(state)
             if st is not GameStatus.ONGOING:
@@ -229,6 +219,14 @@ class TestWinVector:
         partition = Partition((600, 600))
         assert alice_wins(partition, 3) is True
         assert alice_wins(partition, 2) is False
+
+    def test_deep_pinned_search_needs_no_recursion(self):
+        # The refuting line is 1201 moves long, each a level of the search.
+        partition = Partition((600, 600, 1))
+        line = refute_restricted(partition, 600, BOB, "b1")
+        assert line is not None
+        record = record_playout(partition, 600, line, "search", "b1")
+        assert record.outcome == "alice_won"
 
     def test_value_independent_of_input_order_and_rerun(self):
         a = chi_g(Partition.of([2, 3, 2]))

@@ -31,39 +31,48 @@ from chromagame.strategies import (
 def walk_adversary(strategy, partition, budget, visit):
     """Drive the owner's rule against every opponent line.
 
-    `visit(state, move, nxt)` is called for each owner move; opponent nodes
-    branch over all legal moves. States are deduplicated on full history-
-    relevant content so the walk terminates quickly.
+    `visit(state, move, nxt, marks)` is called for each owner move, with
+    `marks` holding each part's (distinct colors, mover of its first move)
+    after it; opponent nodes branch over all legal moves. States are
+    deduplicated on full history-relevant content, marks included, so the
+    walk terminates quickly.
     """
     owner = strategy.side
     seen = set()
 
-    def key(state, aux):
+    def key(state, aux, marks):
         return (
-            tuple((p.colored, p.distinct, p.starter) for p in state.parts),
+            tuple(p.colored for p in state.parts),
+            marks,
             state.move_count % 2,
             (state.last_move.part, state.last_move.fresh) if state.last_move else None,
             aux,
         )
 
-    def rec(state, aux):
+    def marked(marks, state, move):
+        distinct, starter = marks[move.part]
+        mark = (distinct + move.fresh, starter or state.turn)
+        return marks[: move.part] + (mark,) + marks[move.part + 1 :]
+
+    def rec(state, aux, marks):
         if status(state) is not GameStatus.ONGOING:
             return
-        k = key(state, aux)
+        k = key(state, aux, marks)
         if k in seen:
             return
         seen.add(k)
         if state.turn == owner:
             move = strategy.choose(aux, state)
-            nxt = apply_move(state, move)
-            visit(state, move, nxt)
-            rec(nxt, strategy.advance(aux, state, move))
+            nxt, nxt_marks = apply_move(state, move), marked(marks, state, move)
+            visit(state, move, nxt, nxt_marks)
+            rec(nxt, strategy.advance(aux, state, move), nxt_marks)
         else:
             for move in legal_moves(state):
                 nxt = apply_move(state, move)
-                rec(nxt, strategy.advance(aux, state, move))
+                rec(nxt, strategy.advance(aux, state, move), marked(marks, state, move))
 
-    rec(initial_state(partition, budget), strategy.initial_aux(partition))
+    marks = ((0, None),) * partition.k
+    rec(initial_state(partition, budget), strategy.initial_aux(partition), marks)
 
 
 class TestApplicability:
@@ -218,7 +227,7 @@ def test_odd_opener_never_starts_even_parts_and_is_total(sizes):
     partition = Partition.of(sizes)
     a3 = get_strategy("a3")
 
-    def visit(state, move, nxt):
+    def visit(state, move, nxt, _marks):
         assert move in legal_moves(state)
         if state.parts[move.part].is_uncolored:
             assert state.parts[move.part].size % 2 == 1
@@ -238,9 +247,9 @@ def test_echo_responder_b_singleton_invariant(sizes):
     partition = Partition.of(sizes)
     b1 = get_strategy("b1")
 
-    def visit(state, move, nxt):
+    def visit(state, move, nxt, marks):
         b_singletons = [
-            p for p in nxt.parts if p.colored == 1 and p.starter == BOB
+            p for p, (_d, starter) in zip(nxt.parts, marks) if p.colored == 1 and starter == BOB
         ]
         assert len(b_singletons) <= 1
 
@@ -255,7 +264,7 @@ def test_echo_variants_coincide_without_singletons(sizes):
     b1 = get_strategy("b1")
     b1p = get_strategy("b1p")
 
-    def visit(state, move, nxt):
+    def visit(state, move, nxt, _marks):
         assert b1p.choose(None, state) == move
 
     for budget in range(1, partition.n + 1):
