@@ -9,7 +9,6 @@ from .core import (
     GameStatus,
     IllegalMoveError,
     Move,
-    PartState,
     Partition,
     apply_move,
     fixing_move_played,
@@ -64,7 +63,6 @@ __all__ = [
     "IllegalMoveError",
     "InapplicableStrategyError",
     "Move",
-    "PartState",
     "Partition",
     "ScanRow",
     "Strategy",

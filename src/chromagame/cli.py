@@ -209,11 +209,11 @@ def cmd_simulate(args, out) -> int:
 
 
 def _render_board(state: GameState, played: list[MoveRecord], out) -> None:
-    for i, p in enumerate(state.parts):
+    for i, (size, colored) in enumerate(zip(state.partition.sizes, state.colored)):
         moves = [m for m in played if m.part == i]
         colors = ",".join(str(m.color) for m in moves if m.fresh) or "-"
         starter = f" started by {moves[0].mover}" if moves else ""
-        _emit(out, f"  part {i}: {p.colored}/{p.size} colored, colors [{colors}]{starter}")
+        _emit(out, f"  part {i}: {colored}/{size} colored, colors [{colors}]{starter}")
     _emit(out, f"  colors used {state.used}/{state.budget}")
 
 
@@ -298,7 +298,13 @@ def _write_out(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
+def _check_max_n(max_n: int) -> None:
+    if max_n < 1:
+        raise UsageError(f"--max-n must be at least 1, got {max_n}")
+
+
 def cmd_scan(args, out) -> int:
+    _check_max_n(args.max_n)
     # Both paths are checked before the scan, so a bad one is reported at once.
     cache_path = os.environ.get(CACHE_ENV)
     cache = _load_cache_checked(cache_path) if cache_path else None
@@ -333,6 +339,7 @@ def cmd_scan(args, out) -> int:
 
 def cmd_conjecture(args, out) -> int:
     if args.which == "b1p":
+        _check_max_n(args.max_n)
         mode = UNIVERSAL if args.universal else DETERMINISTIC
         report = check_b1p_conjecture(args.max_n, mode)
         _emit(

@@ -10,6 +10,13 @@ always fresh), and concrete vertex or color identities never matter:
 a move is just a part index plus the choice between a fresh color and a
 reused one.
 
+A `GameState` is therefore a plain record: the partition, one colored
+count per part (`colored`, aligned with `partition.sizes`), the budget, the
+colors used, the move count and the last move; `GameState` and `Move` are
+named tuples. The rules read the counts as whole tuples: Alice has won iff
+`colored == partition.sizes`, and every part is started iff
+`0 not in colored`.
+
 Alice moves first and wins once every vertex is colored. Bob wins at the
 first moment an unstarted part coexists with an exhausted color budget,
 because no fresh color can ever reach that part and completion has become
@@ -20,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 ALICE = "alice"
 BOB = "bob"
@@ -93,32 +100,7 @@ class Partition:
         return "K_{%s}" % str(self)
 
 
-@dataclass(frozen=True)
-class PartState:
-    """Coloring progress of one part."""
-
-    size: int
-    colored: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.colored <= self.size:
-            raise ValueError(f"inconsistent part counts: {self}")
-
-    @property
-    def is_full(self) -> bool:
-        return self.colored == self.size
-
-    @property
-    def is_uncolored(self) -> bool:
-        return self.colored == 0
-
-    @property
-    def uncolored(self) -> int:
-        return self.size - self.colored
-
-
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """A part choice plus the fresh-vs-reuse color action."""
 
     part: int
@@ -132,27 +114,52 @@ class Move:
         return f"(part {self.part}, {self.action})"
 
 
-@dataclass(frozen=True)
-class GameState:
-    """Immutable mid-game position; all operations are pure functions."""
-
+class _GameFields(NamedTuple):
     partition: Partition
-    parts: tuple[PartState, ...]
+    colored: tuple[int, ...]  # colored vertices per part, aligned with partition.sizes
     budget: int
     used: int = 0  # colors consumed so far (colors never leave the board)
     move_count: int = 0
     last_move: Optional[Move] = None
+
+
+class GameState(_GameFields):
+    """Immutable mid-game position; all operations are pure functions.
+
+    Building a state checks it: one count per part, each in 0..size, a
+    budget of at least 1, and `used` between the number of started parts
+    (each took its own first color) and the budget. `apply_move` builds its
+    successors as plain tuples, without these checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, partition, colored, budget, used=0, move_count=0, last_move=None):
+        colored = tuple(colored)
+        sizes = partition.sizes
+        if len(colored) != len(sizes):
+            raise ValueError(f"{len(colored)} colored counts for {len(sizes)} parts")
+        if not all(0 <= c <= r for c, r in zip(colored, sizes)):
+            raise ValueError(f"colored counts {colored} do not fit part sizes {sizes}")
+        if budget < 1:
+            raise ValueError("color budget must be at least 1")
+        started = len(colored) - colored.count(0)
+        if not started <= used <= budget:
+            raise ValueError(
+                f"{used} colors used, but {started} parts are started and the budget is {budget}"
+            )
+        return super().__new__(cls, partition, colored, budget, used, move_count, last_move)
 
     @property
     def turn(self) -> str:
         return ALICE if self.move_count % 2 == 0 else BOB
 
 
+_tuple_new = tuple.__new__  # builds a GameState without its checks
+
+
 def initial_state(partition: Partition, budget: int) -> GameState:
-    if budget < 1:
-        raise ValueError("color budget must be at least 1")
-    parts = tuple(PartState(size=r) for r in partition.sizes)
-    return GameState(partition=partition, parts=parts, budget=budget)
+    return GameState(partition, (0,) * partition.k, budget)
 
 
 def status(state: GameState) -> GameStatus:
@@ -162,9 +169,10 @@ def status(state: GameState) -> GameStatus:
     budget: that part can never receive its first color, so completion is
     impossible no matter how play continues elsewhere.
     """
-    if all(p.is_full for p in state.parts):
+    colored = state.colored
+    if colored == state.partition.sizes:
         return GameStatus.ALICE_WON
-    if state.used >= state.budget and any(p.is_uncolored for p in state.parts):
+    if state.used >= state.budget and 0 in colored:
         return GameStatus.BOB_WON
     return GameStatus.ONGOING
 
@@ -175,39 +183,47 @@ def legal_moves(state: GameState) -> list[Move]:
         raise GameOverError(f"game is over: {status(state).value}")
     moves: list[Move] = []
     has_budget = state.used < state.budget
-    for i, p in enumerate(state.parts):
-        if p.is_full:
+    for i, (size, colored) in enumerate(zip(state.partition.sizes, state.colored)):
+        if colored == size:
             continue
         if has_budget:
             moves.append(Move(i, True))
-        if p.colored >= 1:
+        if colored:
             moves.append(Move(i, False))
     return moves
 
 
 def apply_move(state: GameState, move: Move) -> GameState:
-    """Apply a legal move, returning the successor position."""
+    """Apply a legal move, returning the successor position.
+
+    The successor skips `GameState`'s checks because the legality checks
+    here keep them true: the move colors a vertex of a part that is not
+    full, so its count stays within its size; `used` grows only by a fresh
+    color taken while some is left, so it stays within the budget; and a
+    part is started only by a fresh color (a reuse needs a started part),
+    so the number of started parts never overtakes `used`.
+    """
     if status(state) is not GameStatus.ONGOING:
         raise IllegalMoveError(f"game is over: {status(state).value}")
-    if not 0 <= move.part < len(state.parts):
-        raise IllegalMoveError(f"no such part: {move.part}")
-    p = state.parts[move.part]
-    if p.is_full:
-        raise IllegalMoveError(f"part {move.part} is fully colored")
-    if move.fresh and state.used >= state.budget:
+    part, fresh = move.part, move.fresh
+    colored = state.colored
+    if not 0 <= part < len(colored):
+        raise IllegalMoveError(f"no such part: {part}")
+    count = colored[part]
+    if count == state.partition.sizes[part]:
+        raise IllegalMoveError(f"part {part} is fully colored")
+    if fresh and state.used >= state.budget:
         raise IllegalMoveError("no fresh color left in the budget")
-    if not move.fresh and p.colored == 0:
-        raise IllegalMoveError(f"no color to reuse in unstarted part {move.part}")
-    successor = PartState(size=p.size, colored=p.colored + 1)
-    parts = state.parts[: move.part] + (successor,) + state.parts[move.part + 1 :]
-    return GameState(
-        partition=state.partition,
-        parts=parts,
-        budget=state.budget,
-        used=state.used + move.fresh,
-        move_count=state.move_count + 1,
-        last_move=move,
-    )
+    if not fresh and count == 0:
+        raise IllegalMoveError(f"no color to reuse in unstarted part {part}")
+    return _tuple_new(GameState, (
+        state.partition,
+        colored[:part] + (count + 1,) + colored[part + 1 :],
+        state.budget,
+        state.used + fresh,
+        state.move_count + 1,
+        move,
+    ))
 
 
 def play(
@@ -233,12 +249,16 @@ def fixing_move_played(state: GameState) -> bool:
     color already present in its own part, so the game can only end with
     the whole graph colored.
     """
-    return all(p.colored >= 1 for p in state.parts)
+    return 0 not in state.colored
 
 
 def uncolored_parts(state: GameState) -> list[int]:
-    return [i for i, p in enumerate(state.parts) if p.is_uncolored]
+    return [i for i, colored in enumerate(state.colored) if not colored]
 
 
 def partially_colored_parts(state: GameState) -> list[int]:
-    return [i for i, p in enumerate(state.parts) if 0 < p.colored < p.size]
+    return [
+        i
+        for i, (size, colored) in enumerate(zip(state.partition.sizes, state.colored))
+        if 0 < colored < size
+    ]

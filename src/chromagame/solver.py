@@ -43,8 +43,9 @@ def canonicalize(state: GameState) -> tuple:
     the total matters. With no unstarted part, the game can only end fully
     colored; with an unstarted part and no colors left, Bob has won.
     """
-    unstarted = tuple(sorted((p.size for p in state.parts if p.colored == 0), reverse=True))
-    pool = sum(p.size - p.colored for p in state.parts if p.colored)
+    pairs = tuple(zip(state.partition.sizes, state.colored))
+    unstarted = tuple(size for size, colored in pairs if not colored)  # sizes are sorted
+    pool = sum(size - colored for size, colored in pairs if colored)
     return (unstarted, pool, state.budget - state.used, state.turn)
 
 
@@ -208,36 +209,52 @@ class _RestrictedSearch:
         self.memo: dict[tuple, bool] = {}
 
     def key(self, state: GameState, aux: Hashable) -> tuple:
-        """Memo key: the parts as sorted `(size, colored, is anchor, moved
-        last)` tuples, the colors left, and the rule's `memo_extra`. One
-        search has one partition and one budget, and within it positions
-        with equal keys have equal values:
+        """Memo key: each part coded as the small int `size * (r_1 + 1) +
+        colored`, sorted; the codes of the anchor part and of the part moved
+        last (None where there is none); whether those two are one part; the
+        colors left; and the rule's `memo_extra`. One search has one
+        partition and one budget, and within it positions with equal keys
+        have equal values:
 
+        - A code fixes its part's `(size, colored)`, since colored counts lie
+          in 0..r_1. So the key fixes the multiset of `(size, colored, is
+          anchor, moved last)` over the parts, and is fixed by it: mark one
+          part with the anchor's code and one with the last part's code, the
+          same part iff the flag says so (parts with one code are
+          interchangeable in a multiset). The arguments below are about that
+          multiset.
         - `turn` is dropped. Each move colors one vertex, so the turn is the
           parity of the colored total, which the parts fix.
-        - The anchor flag (`anchor_part`) and, for rules that read it, the
-          last-move flag mark the parts a rule names by index. Every other
-          part is read only through its size and colored count.
-        - The sort forgets which of two equal-size parts is which. Clauses
-          pick parts by these four fields alone, so from two positions with
-          one key the pinned seat's picks carry the same fields and lead to
-          positions with one key again. The exception is a clause that
-          offers equal-size parts with different counts, where the
-          lowest-index tie-break may pick differently: a3's fill (the fill
-          of `_start_or_fill` acts only once every part is started, where
-          the search stops). a3 reuses whenever some part is partial and
-          otherwise starts an odd part chosen by size, so its moves, and its
-          value, depend only on the pooled key of `canonicalize`, which both
-          picks leave equal.
+        - The anchor mark (`anchor_part`) and, for rules that read it, the
+          last-move mark single out the parts a rule names by index. Every
+          other part is read only through its size and colored count.
+        - The multiset forgets which of two equal-size parts is which.
+          Clauses pick parts by these four fields alone, so from two
+          positions with one key the pinned seat's picks carry the same
+          fields and lead to positions with one key again. The exception is
+          a clause that offers equal-size parts with different counts, where
+          the lowest-index tie-break may pick differently: a3's fill (the
+          fill of `_start_or_fill` acts only once every part is started,
+          where the search stops). a3 reuses whenever some part is partial
+          and otherwise starts an odd part chosen by size, so its moves, and
+          its value, depend only on the pooled key of `canonicalize`, which
+          both picks leave equal.
         """
+        sizes = state.partition.sizes
+        base = sizes[0] + 1
+        codes = [size * base + colored for size, colored in zip(sizes, state.colored)]
         anchor = self.strategy.anchor_part(aux, state)
         last = state.last_move.part if (
             self.strategy.needs_last_move and state.last_move is not None
         ) else None
-        parts = tuple(
-            sorted((p.size, p.colored, i == anchor, i == last) for i, p in enumerate(state.parts))
+        return (
+            tuple(sorted(codes)),
+            None if anchor is None else codes[anchor],
+            None if last is None else codes[last],
+            anchor == last,
+            state.budget - state.used,
+            self.strategy.memo_extra(aux, state),
         )
-        return (parts, state.budget - state.used, self.strategy.memo_extra(aux, state))
 
     def moves_for(self, state: GameState, aux: Hashable) -> list[Move]:
         if state.turn == self.fixed_side:

@@ -108,7 +108,8 @@ class Strategy:
 
 def _singletons(state: GameState) -> list[Move]:
     """A new color on an uncolored singleton."""
-    return [Move(i, True) for i, p in enumerate(state.parts) if p.size == 1 and p.is_uncolored]
+    sizes = state.partition.sizes
+    return [Move(i, True) for i in uncolored_parts(state) if sizes[i] == 1]
 
 
 def _fill(state: GameState) -> list[Move]:
@@ -128,20 +129,21 @@ def _start_sized(
 ) -> list[Move]:
     """A new color into the unstarted parts of the `pick` (min or max) size
     among those whose size `fits`."""
-    parts = [i for i in uncolored_parts(state) if fits(state.parts[i].size)]
-    size = pick((state.parts[i].size for i in parts), default=None)
-    return [Move(i, True) for i in parts if state.parts[i].size == size]
+    sizes = state.partition.sizes
+    parts = [i for i in uncolored_parts(state) if fits(sizes[i])]
+    size = pick((sizes[i] for i in parts), default=None)
+    return [Move(i, True) for i in parts if sizes[i] == size]
 
 
 def _anchor(state: GameState, anchor: int, opened: bool) -> list[Move]:
     """a2's anchor clauses on the fixed part `anchor`: open it with a new
     color unless `opened` says the opening is accounted for, then mirror an
     opponent's move inside it by reuse while it is still open."""
-    part = state.parts[anchor]
-    if not opened and not part.is_full:
+    size, colored = state.partition.sizes[anchor], state.colored[anchor]
+    if not opened and colored < size:
         return [Move(anchor, True)]
     last = state.last_move
-    if last is not None and last.part == anchor and 0 < part.colored < part.size:
+    if last is not None and last.part == anchor and 0 < colored < size:
         return [Move(anchor, False)]
     return []
 
@@ -149,7 +151,7 @@ def _anchor(state: GameState, anchor: int, opened: bool) -> list[Move]:
 def _echo(state: GameState, fresh: bool) -> list[Move]:
     """Answer inside the part just played while it is still open."""
     last = state.last_move
-    if last is None or state.parts[last.part].is_full:
+    if last is None or state.colored[last.part] == state.partition.sizes[last.part]:
         return []
     return [Move(last.part, fresh)]
 
@@ -161,9 +163,10 @@ def _echo_or_fill(state: GameState) -> list[Move]:
     echo = _echo(state, fresh)
     if echo:
         return echo
+    sizes, colored = state.partition.sizes, state.colored
     partial = partially_colored_parts(state)
-    fewest = min((state.parts[i].uncolored for i in partial), default=None)
-    return [Move(i, fresh) for i in partial if state.parts[i].uncolored == fewest]
+    fewest = min((sizes[i] - colored[i] for i in partial), default=None)
+    return [Move(i, fresh) for i in partial if sizes[i] - colored[i] == fewest]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from chromagame.core import (
     BOB,
     GameStatus,
     Move,
-    PartState,
     GameState,
     Partition,
     apply_move,
@@ -158,11 +157,11 @@ def enumerate_count_states(partition, budget):
     counts; the model keeps only their total, so the test tracks each part's."""
     seen = []
     start = (initial_state(partition, budget), (0,) * partition.k)
-    keys = {(tuple((p.colored, 0) for p in start[0].parts), 0)}
+    keys = {(tuple((c, 0) for c in start[0].colored), 0)}
     stack = [start]
     while stack:
         state, distinct = stack.pop()
-        counts = tuple((p.colored, d) for p, d in zip(state.parts, distinct))
+        counts = tuple(zip(state.colored, distinct))
         seen.append((state, counts))
         if status(state) is not GameStatus.ONGOING:
             continue
@@ -170,7 +169,7 @@ def enumerate_count_states(partition, budget):
             nxt = apply_move(state, m)
             nxt_distinct = tuple(d + (m.fresh and i == m.part) for i, d in enumerate(distinct))
             key = (
-                tuple((p.colored, d) for p, d in zip(nxt.parts, nxt_distinct)),
+                tuple(zip(nxt.colored, nxt_distinct)),
                 nxt.move_count % 2,
             )
             if key not in keys:
@@ -278,8 +277,8 @@ def test_criterion_7b_fixing_outcome_equivalence_10k():
             starter.setdefault(m.part, m.mover)
             if m.mover == BOB:
                 b_singletons = [
-                    i for i, p in enumerate(state.parts)
-                    if p.colored == 1 and starter[i] == BOB
+                    i for i, c in enumerate(state.colored)
+                    if c == 1 and starter[i] == BOB
                 ]
                 assert len(b_singletons) <= 1
         total += 1
@@ -293,9 +292,9 @@ def test_criterion_7b_fixing_outcome_equivalence_10k():
         state = initial_state(partition, budget)
         for m in record.move_list():
             mover = state.turn
-            started = state.parts[m.part].is_uncolored
+            started = state.colored[m.part] == 0
             if mover == ALICE and started:
-                assert state.parts[m.part].size % 2 == 1
+                assert partition.sizes[m.part] % 2 == 1
             state = apply_move(state, m)
         total += 1
 
@@ -328,10 +327,9 @@ def test_criterion_7c_canonicalization_invariance_1000():
         moves = sum(c for c, _d in fills)
 
         def build(order):
-            parts = tuple(PartState(size=sizes[i], colored=fills[i][0]) for i in order)
             return GameState(
                 partition=Partition(tuple(sizes[i] for i in order)),
-                parts=parts,
+                colored=tuple(fills[i][0] for i in order),
                 budget=budget,
                 used=used,
                 move_count=moves,

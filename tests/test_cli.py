@@ -346,11 +346,16 @@ class TestUsageErrors:
             ["play", "3,3", "--colors", "0", "--alice", "a1", "--bob", "b1"],
             ["verify", "2,2", "--colors", "2", "--side", "bob", "--strategy", "random:0"],
             ["scan", "--max-n", "6", "--jobs", "2"],
+            ["scan", "--max-n", "-3"],
+            ["scan", "--max-n", "0"],
+            ["conjecture", "b1p", "--max-n", "-3"],
+            ["conjecture", "b1p", "--max-n", "0"],
         ],
     )
-    def test_exit_code_two(self, argv):
+    def test_exit_code_two(self, argv, capsys):
         code, _ = invoke(argv)
         assert code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 SEAT_NAMES = st.sampled_from(

@@ -13,10 +13,10 @@ from chromagame.core import (
     ALICE,
     BOB,
     GameOverError,
+    GameState,
     GameStatus,
     IllegalMoveError,
     Move,
-    PartState,
     Partition,
     apply_move,
     fixing_move_played,
@@ -65,6 +65,44 @@ class TestPartition:
         assert Partition.of([1, 3, 2]).sizes == (3, 2, 1)
 
 
+class TestGameState:
+    def test_records_are_plain_tuples(self):
+        assert Move(0, True) == (0, True)
+        assert Move(1, False).action == "reuse" and str(Move(1, False)) == "(part 1, reuse)"
+        p = Partition((2, 2))
+        s = initial_state(p, budget=3)
+        assert s == (p, (0, 0), 3, 0, 0, None)
+        assert s.turn == ALICE
+        with pytest.raises(AttributeError):
+            s.used = 1
+
+    def test_consistent_direct_state_is_accepted(self):
+        s = GameState(Partition((2, 2)), (1, 0), 3, used=1, move_count=1, last_move=Move(0, True))
+        assert status(s) is GameStatus.ONGOING
+        assert s == apply_move(initial_state(Partition((2, 2)), 3), Move(0, True))
+
+    def test_started_part_without_a_used_color_is_rejected(self):
+        # Formerly ONGOING with three legal moves.
+        with pytest.raises(ValueError, match="started"):
+            GameState(Partition((2, 2)), (1, 0), budget=3, used=0, move_count=1)
+
+    def test_used_beyond_the_budget_is_rejected(self):
+        # Formerly read as BOB_WON.
+        with pytest.raises(ValueError, match="budget"):
+            GameState(Partition((2, 2)), (1, 0), budget=3, used=7, move_count=1)
+
+    @pytest.mark.parametrize("colored", [(1,), (1, 0, 0), (3, 0), (-1, 0)])
+    def test_counts_must_fit_the_parts(self, colored):
+        with pytest.raises(ValueError):
+            GameState(Partition((2, 2)), colored, budget=3, used=1)
+
+    def test_budget_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="budget"):
+            GameState(Partition((2, 2)), (0, 0), budget=0)
+        with pytest.raises(ValueError, match="budget"):
+            initial_state(Partition((2, 2)), budget=0)
+
+
 class TestLegalMoves:
     def test_empty_board_fresh_only(self):
         s = initial_state(Partition.of([2, 2]), budget=3)
@@ -94,7 +132,7 @@ class TestApplyMove:
     def test_fresh_move_updates_counts_and_turn(self):
         s = initial_state(Partition.of([3, 3]), budget=5)
         s = apply_move(s, Move(0, True))
-        assert s.parts[0] == PartState(size=3, colored=1)
+        assert s.colored == (1, 0)
         assert s.used == 1
         assert s.turn == BOB
         assert s.last_move == Move(0, True)
@@ -103,7 +141,7 @@ class TestApplyMove:
     def test_reuse_adds_no_color(self):
         s = initial_state(Partition.of([3, 3]), budget=5)
         s = play_moves(s, [Move(0, True), Move(0, False)])
-        assert s.parts[0] == PartState(size=3, colored=2)
+        assert s.colored == (2, 0)
         assert s.used == 1
 
     def test_illegal_moves_rejected_with_reason(self):
@@ -165,7 +203,7 @@ def enumerate_count_states(partition, budget):
 def freeze(state, distinct):
     """A state's per-part (colored, distinct) counts and its turn."""
     return (
-        tuple((p.colored, d) for p, d in zip(state.parts, distinct)),
+        tuple(zip(state.colored, distinct)),
         state.move_count % 2,
     )
 
@@ -230,7 +268,7 @@ def test_started_board_always_completes(sizes, budget):
     frontier = [state]
     while frontier:
         s = frontier.pop()
-        key = (s.parts, s.used)
+        key = (s.colored, s.used)
         if key in seen:
             continue
         seen.add(key)
@@ -268,8 +306,8 @@ def test_playout_invariants_and_replay(playout):
         distinct[m.part] += m.fresh
         assert state.used <= state.budget
         assert state.used == sum(distinct)
-        for p, d in zip(state.parts, distinct):
-            assert 0 <= d <= p.colored <= p.size
+        for size, colored, d in zip(partition.sizes, state.colored, distinct):
+            assert 0 <= d <= colored <= size
         assert state.turn == (ALICE if (i + 1) % 2 == 0 else BOB)
         fixing_seen = fixing_seen or fixing_move_played(state)
     # replay reproduces the recorded final position
@@ -289,6 +327,7 @@ def test_playout_part_classes_are_consistent(playout):
     _partition, _budget, _moves, final = playout
     unc = set(uncolored_parts(final))
     part = set(partially_colored_parts(final))
-    full = {i for i, p in enumerate(final.parts) if p.is_full}
-    assert unc | part | full == set(range(len(final.parts)))
+    full = {i for i, (size, colored) in enumerate(zip(final.partition.sizes, final.colored))
+            if colored == size}
+    assert unc | part | full == set(range(len(final.colored)))
     assert not (unc & part) and not (unc & full) and not (part & full)

@@ -13,7 +13,6 @@ from chromagame.core import (
     GameState,
     GameStatus,
     Move,
-    PartState,
     Partition,
     apply_move,
     initial_state,
@@ -44,10 +43,9 @@ from oracle import VertexGame
 def make_state(sizes, fills, budget, move_count):
     """Build a state directly from per-part (colored, distinct) pairs; the
     colors used are the sum of the distinct counts."""
-    parts = tuple(PartState(size=s, colored=c) for s, (c, _d) in zip(sizes, fills))
     return GameState(
         partition=Partition(tuple(sizes)),
-        parts=parts,
+        colored=tuple(c for c, _d in fills),
         budget=budget,
         used=sum(d for _c, d in fills),
         move_count=move_count,
@@ -107,7 +105,7 @@ def test_pooled_key_values_every_reachable_position(sizes):
         pooled: dict = {}
 
         def value(state):
-            key = (state.parts, state.used, state.move_count)
+            key = (state.colored, state.used, state.move_count)
             if key not in plain:
                 st = status(state)
                 if st is not GameStatus.ONGOING:
@@ -124,17 +122,40 @@ def test_pooled_key_values_every_reachable_position(sizes):
 RULES = ("a1", "a1p", "a2", "a2p", "a3", "a3p", "acomposite", "b1", "b1p")
 
 
+def multiset_key(strategy, state, aux):
+    """The pinned-search key spelled out: the parts as sorted `(size,
+    colored, is anchor, moved last)` tuples, the colors left and the rule's
+    `memo_extra`."""
+    anchor = strategy.anchor_part(aux, state)
+    last = state.last_move.part if (
+        strategy.needs_last_move and state.last_move is not None
+    ) else None
+    parts = sorted(
+        (size, colored, i == anchor, i == last)
+        for i, (size, colored) in enumerate(zip(state.partition.sizes, state.colored))
+    )
+    return (tuple(parts), state.budget - state.used, strategy.memo_extra(aux, state))
+
+
 def assert_pinned_search_exact(partition, name, mode, budget):
     """At every position the pinned game reaches, the pinned search's value
-    equals a plain minimax keyed on the full (parts, used, turn, last move, aux),
-    with no early leaves: no memo key merges positions of unequal value."""
+    equals a plain minimax keyed on the full (colored, used, turn, last move,
+    aux), with no early leaves: no memo key merges positions of unequal value.
+    The search's small-int key also splits these positions exactly as
+    `multiset_key` does: two positions share one iff they share the other."""
     strategy = get_strategy(name)
     search = _RestrictedSearch(strategy, strategy.side, mode)
     plain: dict = {}
+    small_to_multiset: dict = {}
+    multiset_to_small: dict = {}
 
     def value(state, aux):
-        key = (state.parts, state.used, state.turn, state.last_move, aux)
+        key = (state.colored, state.used, state.turn, state.last_move, aux)
         if key not in plain:
+            where = (name, mode, budget, state)
+            small, multiset = search.key(state, aux), multiset_key(strategy, state, aux)
+            assert small_to_multiset.setdefault(small, multiset) == multiset, where
+            assert multiset_to_small.setdefault(multiset, small) == small, where
             st = status(state)
             if st is not GameStatus.ONGOING:
                 plain[key] = (st is GameStatus.ALICE_WON) == (strategy.side == ALICE)
@@ -149,7 +170,6 @@ def assert_pinned_search_exact(partition, name, mode, budget):
                     value(apply_move(state, m), strategy.advance(aux, state, m)) for m in moves
                 ]
                 plain[key] = all(children)
-            where = (name, mode, budget, state)
             assert search.achieved(state, aux) == plain[key], where
         return plain[key]
 
@@ -157,8 +177,14 @@ def assert_pinned_search_exact(partition, name, mode, budget):
 
 
 # K_{3,3,1,1} is the smallest shape on which a key without the anchor flag
-# gives a wrong value (a2 and a2p at 4 and 5 colors).
-@pytest.mark.parametrize("sizes", [tuple(p.sizes) for p in all_partitions(6)] + [(3, 3, 1, 1)])
+# gives a wrong value (a2 and a2p at 4 and 5 colors). It is listed right
+# after the n <= 6 shapes, ahead of the other shapes with n <= 8.
+@pytest.mark.parametrize(
+    "sizes",
+    [tuple(p.sizes) for p in all_partitions(6)]
+    + [(3, 3, 1, 1)]
+    + [tuple(p.sizes) for p in all_partitions(8) if p.n > 6 and p.sizes != (3, 3, 1, 1)],
+)
 def test_pinned_search_values_every_reachable_position(sizes):
     partition = Partition(sizes)
     for name in RULES:
@@ -175,7 +201,8 @@ def test_pinned_search_values_every_reachable_position(sizes):
 @pytest.mark.parametrize("budget", [6, 7])
 def test_pinned_search_values_acomposite(budget):
     partition = Partition((4, 3, 3, 3, 1, 1))
-    assert_pinned_search_exact(partition, "acomposite", DETERMINISTIC, budget)
+    for mode in (DETERMINISTIC, UNIVERSAL):
+        assert_pinned_search_exact(partition, "acomposite", mode, budget)
 
 
 @pytest.mark.parametrize(

@@ -42,7 +42,7 @@ def walk_adversary(strategy, partition, budget, visit):
 
     def key(state, aux, marks):
         return (
-            tuple(p.colored for p in state.parts),
+            state.colored,
             marks,
             state.move_count % 2,
             (state.last_move.part, state.last_move.fresh) if state.last_move else None,
@@ -229,8 +229,8 @@ def test_odd_opener_never_starts_even_parts_and_is_total(sizes):
 
     def visit(state, move, nxt, _marks):
         assert move in legal_moves(state)
-        if state.parts[move.part].is_uncolored:
-            assert state.parts[move.part].size % 2 == 1
+        if state.colored[move.part] == 0:
+            assert partition.sizes[move.part] % 2 == 1
 
     for budget in range(1, partition.n + 1):
         # choose() raising would fail the walk; that is the totality check.
@@ -249,7 +249,7 @@ def test_echo_responder_b_singleton_invariant(sizes):
 
     def visit(state, move, nxt, marks):
         b_singletons = [
-            p for p, (_d, starter) in zip(nxt.parts, marks) if p.colored == 1 and starter == BOB
+            c for c, (_d, starter) in zip(nxt.colored, marks) if c == 1 and starter == BOB
         ]
         assert len(b_singletons) <= 1
 
