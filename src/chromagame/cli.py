@@ -353,8 +353,6 @@ def cmd_conjecture(args, out) -> int:
             _render_record(v.counterexample, out)
         return 0 if report.passed else 1
     # nonopt
-    if args.k is None:
-        raise UsageError("conjecture nonopt requires --k")
     try:
         report = check_nonoptimality_theorem(args.k)
     except ValueError as exc:
@@ -424,10 +422,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("conjecture", help="run a conjecture check")
-    p.add_argument("which", choices=("b1p", "nonopt"))
-    p.add_argument("--max-n", type=int, default=12)
-    p.add_argument("--k", type=int)
-    p.add_argument("--universal", action="store_true")
+    checks = p.add_subparsers(dest="which", required=True)
+    c = checks.add_parser("b1p", help="b1p wins for Bob wherever optimal play does")
+    c.add_argument("--max-n", type=int, default=12)
+    c.add_argument("--universal", action="store_true")
+    c = checks.add_parser(
+        "nonopt", help="at 2k-4 colors on K_{4,3^(k-3),1,1}, acomposite wins, simpler rules lose"
+    )
+    c.add_argument("--k", type=int, required=True)
 
     return parser
 

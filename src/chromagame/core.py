@@ -89,10 +89,6 @@ class Partition:
     def n(self) -> int:
         return sum(self.sizes)
 
-    def count_of_size(self, j: int) -> int:
-        """Number of parts of size exactly j."""
-        return sum(1 for r in self.sizes if r == j)
-
     def __str__(self) -> str:
         return ",".join(str(r) for r in self.sizes)
 
@@ -127,8 +123,10 @@ class GameState(_GameFields):
     """Immutable mid-game position; all operations are pure functions.
 
     Building a state checks it: one count per part, each in 0..size, a
-    budget of at least 1, and `used` between the number of started parts
-    (each took its own first color) and the budget. `apply_move` builds its
+    budget of at least 1, `used` between the number of started parts (each
+    took its own first color) and the budget, a move count equal to the
+    colored total (each move colors one vertex), and a last move, if any,
+    into a part that has a colored vertex. `apply_move` builds its
     successors as plain tuples, without these checks.
     """
 
@@ -148,6 +146,12 @@ class GameState(_GameFields):
             raise ValueError(
                 f"{used} colors used, but {started} parts are started and the budget is {budget}"
             )
+        if move_count != sum(colored):
+            raise ValueError(f"move count {move_count}, but {sum(colored)} vertices are colored")
+        if last_move is not None and not (
+            0 <= last_move.part < len(colored) and colored[last_move.part]
+        ):
+            raise ValueError(f"last move {last_move} names no part with a colored vertex")
         return super().__new__(cls, partition, colored, budget, used, move_count, last_move)
 
     @property

@@ -209,25 +209,22 @@ class _RestrictedSearch:
         self.memo: dict[tuple, bool] = {}
 
     def key(self, state: GameState, aux: Hashable) -> tuple:
-        """Memo key: each part coded as the small int `size * (r_1 + 1) +
-        colored`, sorted; the codes of the anchor part and of the part moved
-        last (None where there is none); whether those two are one part; the
-        colors left; and the rule's `memo_extra`. One search has one
-        partition and one budget, and within it positions with equal keys
-        have equal values:
+        """Memo key: the sorted part codes and the colors left. Part i's code
+        is `4 * (size * (r_1 + 1) + colored) + 2 * (moved last) + (is
+        anchor)`, the anchor being the rule's `anchor_part`. One search has
+        one partition and one budget, and within it positions with equal
+        keys have equal values:
 
-        - A code fixes its part's `(size, colored)`, since colored counts lie
-          in 0..r_1. So the key fixes the multiset of `(size, colored, is
-          anchor, moved last)` over the parts, and is fixed by it: mark one
-          part with the anchor's code and one with the last part's code, the
-          same part iff the flag says so (parts with one code are
-          interchangeable in a multiset). The arguments below are about that
-          multiset.
+        - Colored counts lie in 0..r_1, so a code fixes its part's `(size,
+          colored, moved last, is anchor)`, and the key is the multiset of
+          these over the parts plus the colors left.
         - `turn` is dropped. Each move colors one vertex, so the turn is the
           parity of the colored total, which the parts fix.
-        - The anchor mark (`anchor_part`) and, for rules that read it, the
-          last-move mark single out the parts a rule names by index. Every
-          other part is read only through its size and colored count.
+        - The two marks single out the parts a rule names by index: the
+          anchor, and the part just played, which the echo and mirror
+          clauses answer in. Every other part is read only through its size
+          and colored count. The last move is marked for every rule; a mark
+          a rule does not read only splits positions of equal value.
         - The multiset forgets which of two equal-size parts is which.
           Clauses pick parts by these four fields alone, so from two
           positions with one key the pinned seat's picks carry the same
@@ -239,22 +236,32 @@ class _RestrictedSearch:
           and otherwise starts an odd part chosen by size, so its moves, and
           its value, depend only on the pooled key of `canonicalize`, which
           both picks leave equal.
+        - The rule's bookkeeping `aux` is left out. Only acomposite keeps
+          any beyond its anchor, and its positions with one key share it
+          where it matters:
+          1. `opened` is True exactly when the anchor has a colored vertex.
+             Every entry into `anchor` or `anchor_s` with `opened=False`
+             happens on Alice's turn with the anchor uncolored, and her next
+             move opens it; every other entry names a triple the opponent
+             has already colored.
+          2. `anchor` and `anchor_s` differ only by a2p's singleton clause.
+             `anchor` is entered after both singletons are colored, so any
+             key it shares with an `anchor_s` position has no uncolored
+             singleton, and both phases allow the same moves.
+          3. Each scripted phase (`open` ... `watch`) occurs at one move
+             count. Any two phases present at the same move count differ in
+             the anchor part's code (or its absence) or in the colored count
+             of the size-4 part.
         """
         sizes = state.partition.sizes
         base = sizes[0] + 1
-        codes = [size * base + colored for size, colored in zip(sizes, state.colored)]
+        codes = [4 * (size * base + colored) for size, colored in zip(sizes, state.colored)]
+        if state.last_move is not None:
+            codes[state.last_move.part] += 2
         anchor = self.strategy.anchor_part(aux, state)
-        last = state.last_move.part if (
-            self.strategy.needs_last_move and state.last_move is not None
-        ) else None
-        return (
-            tuple(sorted(codes)),
-            None if anchor is None else codes[anchor],
-            None if last is None else codes[last],
-            anchor == last,
-            state.budget - state.used,
-            self.strategy.memo_extra(aux, state),
-        )
+        if anchor is not None:
+            codes[anchor] += 1
+        return (tuple(sorted(codes)), state.budget - state.used)
 
     def moves_for(self, state: GameState, aux: Hashable) -> list[Move]:
         if state.turn == self.fixed_side:

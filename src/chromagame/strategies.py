@@ -67,7 +67,6 @@ class Strategy:
 
     id: str = ""
     side: Optional[str] = None  # ALICE, BOB, or None when either seat works
-    needs_last_move: bool = False  # solver memo keys must mark the last part
 
     def is_applicable(self, partition: Partition) -> bool:
         return True
@@ -92,10 +91,6 @@ class Strategy:
     def anchor_part(self, aux: Hashable, state: GameState) -> Optional[int]:
         """The part the rule names by index (an anchor), which solver memo
         keys must keep apart from its equal-size peers; None if there is none."""
-        return None
-
-    def memo_extra(self, aux: Hashable, state: GameState) -> Hashable:
-        """Whatever bookkeeping beyond counts the rule's future depends on."""
         return None
 
     def __repr__(self) -> str:
@@ -201,7 +196,6 @@ class TripleAnchor(Strategy):
 
     id = "a2"
     side = ALICE
-    needs_last_move = True
 
     def is_applicable(self, partition):
         return partition.k >= 2 and 3 in partition.sizes
@@ -234,7 +228,6 @@ class OddOpener(Strategy):
 
     id = "a3"
     side = ALICE
-    needs_last_move = True
 
     def is_applicable(self, partition):
         return partition.n % 2 == 1
@@ -262,7 +255,6 @@ class EchoResponder(Strategy):
 
     id = "b1"
     side = BOB
-    needs_last_move = True
 
     def admissible(self, aux, state):
         return _echo_or_fill(state) or _start_sized(state, max)
@@ -294,7 +286,6 @@ class CompositeOpening(Strategy):
 
     id = "acomposite"
     side = ALICE
-    needs_last_move = True
 
     # aux is a tuple whose head names the phase:
     #   ("open",)                 Alice's scripted first move
@@ -375,11 +366,6 @@ class CompositeOpening(Strategy):
         if aux[0] in ("anchor", "anchor_s", "fill_singleton"):
             return aux[1]
         return None
-
-    def memo_extra(self, aux, state):
-        if aux[0] in ("anchor", "anchor_s"):
-            return (aux[0], aux[2])
-        return (aux[0],)
 
 
 class RandomMover(Strategy):
@@ -477,14 +463,9 @@ def check_seat(strategy: Strategy, partition: Partition, seat: str) -> None:
 
 
 def _check_turn(strategy: Strategy, state: GameState) -> None:
-    if not strategy.is_applicable(state.partition):
-        raise InapplicableStrategyError(
-            f"{strategy.id} is not applicable to {state.partition.label()}"
-        )
+    check_seat(strategy, state.partition, state.turn)
     if status(state) is not GameStatus.ONGOING:
         raise ValueError("game is over")
-    if strategy.side is not None and state.turn != strategy.side:
-        raise ValueError(f"{strategy.id} plays as {strategy.side}; it is {state.turn}'s turn")
 
 
 def choose_move(strategy: Strategy, state: GameState, aux: Hashable) -> Move:

@@ -350,6 +350,9 @@ class TestUsageErrors:
             ["scan", "--max-n", "0"],
             ["conjecture", "b1p", "--max-n", "-3"],
             ["conjecture", "b1p", "--max-n", "0"],
+            ["conjecture", "b1p", "--max-n", "6", "--k", "7"],
+            ["conjecture", "nonopt", "--k", "6", "--universal"],
+            ["conjecture", "nonopt", "--k", "6", "--max-n", "5"],
         ],
     )
     def test_exit_code_two(self, argv, capsys):

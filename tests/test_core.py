@@ -42,9 +42,6 @@ class TestPartition:
         assert p.sizes == (4, 3, 3, 1, 1)
         assert p.k == 5
         assert p.n == 12
-        assert p.count_of_size(3) == 2
-        assert p.count_of_size(1) == 2
-        assert p.count_of_size(7) == 0
         assert str(p) == "4,3,3,1,1"
         assert p.label() == "K_{4,3,3,1,1}"
 
@@ -95,6 +92,25 @@ class TestGameState:
     def test_counts_must_fit_the_parts(self, colored):
         with pytest.raises(ValueError):
             GameState(Partition((2, 2)), colored, budget=3, used=1)
+
+    @pytest.mark.parametrize("move_count", [0, 2])
+    def test_move_count_must_match_the_colored_total(self, move_count):
+        # Formerly accepted: with move_count 0, one colored vertex read as Alice's turn.
+        with pytest.raises(ValueError, match="move count"):
+            GameState(Partition((2, 2)), (1, 0), 3, used=1, move_count=move_count)
+
+    @pytest.mark.parametrize(
+        "colored, move_count, last_move",
+        [
+            ((1, 0), 1, Move(1, True)),  # formerly accepted: a move into an unstarted part
+            ((1, 0), 1, Move(-1, True)),  # names no part; would mark the last part
+            ((1, 0), 1, Move(2, True)),
+            ((0, 0), 0, Move(0, True)),  # a last move before any move
+        ],
+    )
+    def test_last_move_must_name_a_colored_part(self, colored, move_count, last_move):
+        with pytest.raises(ValueError, match="last move"):
+            GameState(Partition((2, 2)), colored, 3, sum(colored), move_count, last_move)
 
     def test_budget_below_one_is_rejected(self):
         with pytest.raises(ValueError, match="budget"):

@@ -15,6 +15,7 @@ from chromagame.core import (
     Move,
     Partition,
     apply_move,
+    fixing_move_played,
     initial_state,
     legal_moves,
     status,
@@ -60,7 +61,8 @@ class TestCanonicalize:
 
     def test_turn_distinguishes(self):
         a = make_state((3, 3), [(1, 1), (0, 0)], 4, 1)
-        b = make_state((3, 3), [(1, 1), (0, 0)], 4, 2)
+        b = make_state((4, 3), [(2, 1), (0, 0)], 4, 2)
+        assert canonicalize(a)[:3] == canonicalize(b)[:3]  # unstarted, pool, colors left
         assert canonicalize(a) != canonicalize(b)
 
     def test_randomized_equal_size_permutations(self):
@@ -124,17 +126,14 @@ RULES = ("a1", "a1p", "a2", "a2p", "a3", "a3p", "acomposite", "b1", "b1p")
 
 def multiset_key(strategy, state, aux):
     """The pinned-search key spelled out: the parts as sorted `(size,
-    colored, is anchor, moved last)` tuples, the colors left and the rule's
-    `memo_extra`."""
+    colored, is anchor, moved last)` tuples and the colors left."""
     anchor = strategy.anchor_part(aux, state)
-    last = state.last_move.part if (
-        strategy.needs_last_move and state.last_move is not None
-    ) else None
+    last = None if state.last_move is None else state.last_move.part
     parts = sorted(
         (size, colored, i == anchor, i == last)
         for i, (size, colored) in enumerate(zip(state.partition.sizes, state.colored))
     )
-    return (tuple(parts), state.budget - state.used, strategy.memo_extra(aux, state))
+    return (tuple(parts), state.budget - state.used)
 
 
 def assert_pinned_search_exact(partition, name, mode, budget):
@@ -196,13 +195,44 @@ def test_pinned_search_values_every_reachable_position(sizes):
 
 
 # acomposite applies from n = 15. At 6 and 7 colors its key needs the anchor
-# flag, the last-move flag and the colored counts; larger budgets catch none
+# mark, the last-move mark and the colored counts; larger budgets catch none
 # of these being dropped.
 @pytest.mark.parametrize("budget", [6, 7])
 def test_pinned_search_values_acomposite(budget):
     partition = Partition((4, 3, 3, 3, 1, 1))
     for mode in (DETERMINISTIC, UNIVERSAL):
         assert_pinned_search_exact(partition, "acomposite", mode, budget)
+
+
+@pytest.mark.parametrize(
+    "k, mode", [(k, DETERMINISTIC) for k in range(6, 10)] + [(6, UNIVERSAL), (7, UNIVERSAL)]
+)
+def test_acomposite_bookkeeping_follows_the_board(k, mode):
+    """The facts that let the pinned-search key leave acomposite's `aux`
+    out, at every position the search keys on K_{4,3^(k-3),1,1} with 2k - 4
+    colors (the non-optimality budget): `opened` holds exactly when the
+    anchor has a colored vertex, and phase `anchor` is entered only once
+    both singletons are colored."""
+    partition = Partition((4,) + (3,) * (k - 3) + (1, 1))
+    strategy = get_strategy("acomposite")
+    search = _RestrictedSearch(strategy, ALICE, mode)
+    seen = set()
+    stack = [(initial_state(partition, 2 * k - 4), strategy.initial_aux(partition))]
+    while stack:
+        state, aux = stack.pop()
+        over = status(state) is not GameStatus.ONGOING or fixing_move_played(state)
+        if over or (state, aux) in seen:
+            continue
+        seen.add((state, aux))
+        phase = aux[0]
+        if phase in ("anchor", "anchor_s"):
+            assert aux[2] == (state.colored[aux[1]] > 0), (state, aux)
+        if phase == "anchor":
+            assert state.colored[-2:] == (1, 1), (state, aux)
+        stack.extend(
+            (apply_move(state, m), strategy.advance(aux, state, m))
+            for m in search.moves_for(state, aux)
+        )
 
 
 @pytest.mark.parametrize(

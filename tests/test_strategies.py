@@ -9,6 +9,7 @@ import random
 import pytest
 
 from chromagame.core import (
+    ALICE,
     BOB,
     GameStatus,
     Move,
@@ -101,6 +102,19 @@ class TestApplicability:
         state, aux = initial_state(p, 5), get_strategy("a2").initial_aux(p)
         with pytest.raises(InapplicableStrategyError):
             choose_move(get_strategy("a2"), state, aux)
+
+    @pytest.mark.parametrize("pick", [choose_move, admissible_moves])
+    def test_wrong_turn_and_finished_game_rejected(self, pick):
+        p = Partition.of([2, 2])
+        b1 = get_strategy("b1")
+        with pytest.raises(InapplicableStrategyError, match="cannot play as alice"):
+            pick(b1, initial_state(p, 3), b1.initial_aux(p))
+        a1 = get_strategy("a1")
+        full = [Move(0, True), Move(0, False), Move(1, True), Move(1, False)]
+        state, aux = ctx_after(a1, p, 3, full)
+        assert status(state) is GameStatus.ALICE_WON and state.turn == ALICE
+        with pytest.raises(ValueError, match="game is over"):
+            pick(a1, state, aux)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
