@@ -272,12 +272,26 @@ class _RestrictedSearch:
 
     def _open(self, state: GameState, aux: Hashable) -> bool | tuple:
         """The position's value if it is settled or memoized, else a stack
-        frame: its key, the position and an iterator over its moves."""
+        frame: its key, the position and an iterator over its moves.
+
+        A position with fewer colors left than unstarted parts is settled
+        for Bob, whatever either seat plays:
+
+        - A color used in one part is illegal in every other part, so each
+          unstarted part can only be started by a new color of its own.
+        - With fewer colors left than unstarted parts, some part can never
+          be colored, and the game cannot end fully colored.
+        - While a color is left, a fresh move into an unstarted part stays
+          legal, so play goes on until the budget is spent with a part
+          unstarted: `status`'s Bob win.
+        """
         st = status(state)
         if st is not GameStatus.ONGOING:
             return (st is GameStatus.ALICE_WON) == self.goal_alice
         if fixing_move_played(state):
             return self.goal_alice
+        if state.budget - state.used < state.colored.count(0):
+            return not self.goal_alice
         key = self.key(state, aux)
         if key in self.memo:
             return self.memo[key]
@@ -332,6 +346,27 @@ class _RestrictedSearch:
         return [move for _before, move, _after in play(state, pick)]
 
 
+def _pinned_start(
+    partition: Partition,
+    budget: int,
+    fixed_side: str,
+    strategy: Strategy | str,
+    mode: str,
+) -> tuple[_RestrictedSearch, GameState, Hashable]:
+    """Check the arguments of a pinned search; return the search, the empty
+    board and the rule's initial bookkeeping."""
+    strategy = as_strategy(strategy)
+    if fixed_side not in (ALICE, BOB):
+        raise ValueError(f"fixed_side must be {ALICE!r} or {BOB!r}")
+    if not 1 <= budget <= partition.n:
+        raise ValueError(f"budget must be in 1..{partition.n}")
+    check_seat(strategy, partition, fixed_side)
+    if strategy.side is None:  # random, human: they pick by part order, which keys drop
+        raise InapplicableStrategyError(f"{strategy.id} is not an analyzed rule")
+    search = _RestrictedSearch(strategy, fixed_side, mode)
+    return search, initial_state(partition, budget), strategy.initial_aux(partition)
+
+
 def restricted_value(
     partition: Partition,
     budget: int,
@@ -341,7 +376,8 @@ def restricted_value(
 ) -> bool:
     """Does `fixed_side`, pinned to `strategy`, reach its goal against every
     opponent line? (Alice's goal: full coloring; Bob's: a stuck part.)"""
-    return refute_restricted(partition, budget, fixed_side, strategy, mode) is None
+    search, state, aux = _pinned_start(partition, budget, fixed_side, strategy, mode)
+    return search.achieved(state, aux)
 
 
 def refute_restricted(
@@ -353,17 +389,7 @@ def refute_restricted(
 ) -> Optional[list[Move]]:
     """None when the pinned seat's goal is guaranteed; otherwise the first
     failing line in deterministic search order, played out to a terminal."""
-    strategy = as_strategy(strategy)
-    if fixed_side not in (ALICE, BOB):
-        raise ValueError(f"fixed_side must be {ALICE!r} or {BOB!r}")
-    if not 1 <= budget <= partition.n:
-        raise ValueError(f"budget must be in 1..{partition.n}")
-    check_seat(strategy, partition, fixed_side)
-    if strategy.side is None:  # random, human: they pick by part order, which keys drop
-        raise InapplicableStrategyError(f"{strategy.id} is not an analyzed rule")
-    search = _RestrictedSearch(strategy, fixed_side, mode)
-    state = initial_state(partition, budget)
-    aux = strategy.initial_aux(partition)
+    search, state, aux = _pinned_start(partition, budget, fixed_side, strategy, mode)
     if search.achieved(state, aux):
         return None
     return search.refutation(state, aux)

@@ -133,7 +133,7 @@ def test_criterion_5_guarantee_suites():
 
 
 def test_criterion_6_b1p_conjecture():
-    rep = check_b1p_conjecture(12)
+    rep = check_b1p_conjecture(14)
     replay_ok = True
     for violation in rep.violations:
         state = initial_state(violation.partition, violation.budget)

@@ -121,6 +121,22 @@ def test_pooled_key_values_every_reachable_position(sizes):
         value(initial_state(partition, budget))
 
 
+def test_fewer_colors_than_unstarted_parts_lose_for_alice():
+    """Each unstarted part needs a new color of its own, so Alice loses every
+    position with fewer colors left than unstarted parts. The pinned search
+    settles such positions without search; the pooled solver does not, so
+    its memo checks the count on every shape with n <= 10."""
+    doomed = 0
+    for partition in all_partitions(10):
+        memo: dict = {}
+        win_vector(partition, memo)
+        for (unstarted, _pool, left, _turn), wins in memo.items():
+            if left < len(unstarted):
+                doomed += 1
+                assert not wins, (partition, unstarted, left)
+    assert doomed  # the solver does reach such positions
+
+
 RULES = ("a1", "a1p", "a2", "a2p", "a3", "a3p", "acomposite", "b1", "b1p")
 
 
@@ -202,6 +218,39 @@ def test_pinned_search_values_acomposite(budget):
     partition = Partition((4, 3, 3, 3, 1, 1))
     for mode in (DETERMINISTIC, UNIVERSAL):
         assert_pinned_search_exact(partition, "acomposite", mode, budget)
+
+
+@pytest.mark.parametrize("sizes", [tuple(p.sizes) for p in all_partitions(7)])
+def test_refutations_replay_to_the_pinned_seat_loss(sizes):
+    """Every line `refute_restricted` returns is a game the pinned rule can
+    play (its own move, or in universal mode an admissible one, at each of
+    its turns) that replays through `record_playout` to the pinned seat's
+    loss; `restricted_value` is False exactly when there is such a line."""
+    partition = Partition(sizes)
+    for name in RULES:
+        strategy = get_strategy(name)
+        if not strategy.is_applicable(partition):
+            continue
+        side = strategy.side
+        loss = GameStatus.BOB_WON if side == ALICE else GameStatus.ALICE_WON
+        for mode in (DETERMINISTIC, UNIVERSAL):
+            for budget in range(1, partition.n + 1):
+                where = (name, mode, budget)
+                line = refute_restricted(partition, budget, side, name, mode)
+                assert restricted_value(partition, budget, side, name, mode) == (line is None), where
+                if line is None:
+                    continue
+                state, aux = initial_state(partition, budget), strategy.initial_aux(partition)
+                for move in line:
+                    if state.turn == side:
+                        allowed = strategy.admissible(aux, state) if mode == UNIVERSAL else [
+                            strategy.choose(aux, state)
+                        ]
+                        assert move in allowed, (where, state, move)
+                    aux = strategy.advance(aux, state, move)
+                    state = apply_move(state, move)
+                record = record_playout(partition, budget, line, ALICE, BOB)
+                assert record.outcome == loss.value, where
 
 
 @pytest.mark.parametrize(
