@@ -1,0 +1,147 @@
+"""Output-parity fingerprint of the program's exact results.
+
+Prints one line per surface, `<surface> <records> <sha256>`, where the hash
+covers every record the surface produces, in a fixed order. Run it on two
+checkouts and compare the lines: a refactor that keeps every exact output
+prints the same lines.
+
+    python3 scripts/parity.py    # a few seconds
+
+The package is imported from the `src/` directory of the checkout this
+script sits in, and `CHROMA_CACHE` is unset so that no cache file is read
+or written.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+os.environ.pop("CHROMA_CACHE", None)
+
+from chromagame import cli  # noqa: E402
+from chromagame.core import Partition  # noqa: E402
+from chromagame.harness import all_partitions, guarantee_suite  # noqa: E402
+from chromagame.solver import DETERMINISTIC, UNIVERSAL, refute_restricted  # noqa: E402
+from chromagame.strategies import get_strategy  # noqa: E402
+
+RULES = ("a1", "a1p", "a2", "a2p", "a3", "a3p", "acomposite", "b1", "b1p")
+ALICE_SEATS = ("a1", "a1p", "a2", "a2p", "a3", "a3p", "acomposite", "random:1")
+BOB_SEATS = ("b1", "b1p", "random:2")
+MODES = (DETERMINISTIC, UNIVERSAL)
+
+
+def cli_record(argv: list[str]) -> str:
+    """The argv, exit code, stdout and stderr of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.run(argv, out=out)
+    return json.dumps([argv, code, out.getvalue(), err.getvalue()])
+
+
+def shape_budgets(max_n: int):
+    for partition in all_partitions(max_n):
+        for budget in range(1, partition.n + 1):
+            yield partition, budget
+
+
+def refutations():
+    cases = [
+        (partition, budget, name, mode)
+        for partition, budget in shape_budgets(9)
+        for name in RULES
+        if get_strategy(name).is_applicable(partition)
+        for mode in MODES
+    ]
+    for k, modes in ((6, MODES), (7, MODES), (8, (DETERMINISTIC,))):
+        partition = Partition((4,) + (3,) * (k - 3) + (1, 1))
+        for budget in range(1, partition.n + 1):
+            cases += [(partition, budget, "acomposite", mode) for mode in modes]
+    for partition, budget, name, mode in cases:
+        side = get_strategy(name).side
+        line = refute_restricted(partition, budget, side, name, mode)
+        moves = None if line is None else [[m.part, m.fresh] for m in line]
+        yield json.dumps([str(partition), budget, name, mode, moves])
+
+
+def conjectures():
+    for universal in ([], ["--universal"]):
+        yield cli_record(["conjecture", "b1p", "--max-n", "12"] + universal)
+    for k in range(6, 11):
+        yield cli_record(["conjecture", "nonopt", "--k", str(k)])
+
+
+def suite():
+    for mode in MODES:
+        for case in guarantee_suite(12, mode):
+            record = case.counterexample and case.counterexample.to_dict()
+            yield json.dumps(
+                [mode, case.label, str(case.partition), case.budget, case.side,
+                 case.strategy, case.passed, record],
+                sort_keys=True,
+            )
+
+
+def verify():
+    for partition, budget in shape_budgets(7):
+        for name in RULES:
+            for side in ("alice", "bob"):
+                for universal in ([], ["--universal"]):
+                    yield cli_record(
+                        ["verify", str(partition), "--colors", str(budget), "--side", side,
+                         "--strategy", name] + universal
+                    )
+
+
+def simulate():
+    for partition, budget in shape_budgets(7):
+        for alice in ALICE_SEATS:
+            for bob in BOB_SEATS:
+                yield cli_record(
+                    ["simulate", str(partition), "--colors", str(budget), "--alice", alice,
+                     "--bob", bob, "--format", "json"]
+                )
+
+
+def scan():
+    """The scan CSV without its last (`ms`) column, then the exit code."""
+    out = io.StringIO()
+    code = cli.run(["scan", "--max-n", "14"], out=out)
+    for row in out.getvalue().splitlines():
+        yield row.rsplit(",", 1)[0]
+    yield f"exit {code}"
+
+
+def solve():
+    for partition in all_partitions(9):
+        yield cli_record(["solve", str(partition), "--format", "json"])
+
+
+SURFACES = {
+    "refute_restricted": refutations,
+    "conjecture": conjectures,
+    "guarantee_suite": suite,
+    "verify": verify,
+    "simulate": simulate,
+    "scan": scan,
+    "solve": solve,
+}
+
+
+def main() -> None:
+    for name, records in SURFACES.items():
+        digest, count = hashlib.sha256(), 0
+        for record in records():
+            digest.update(record.encode() + b"\n")
+            count += 1
+        print(f"{name} {count} {digest.hexdigest()}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -3,14 +3,13 @@
 Subcommands: solve, formula, bounds, simulate, play, verify, scan,
 conjecture. Exit codes: 0 = success or pass, 1 = a verification failed or a
 counterexample was found (it is printed), 2 = usage error. The CHROMA_CACHE
-environment variable names an optional win-vector cache file used by solve
-and scan.
+environment variable names an optional win-vector cache file that solve
+reads and writes; no other command uses it.
 """
 
 from __future__ import annotations
 
 import argparse
-import errno
 import functools
 import json
 import os
@@ -76,15 +75,11 @@ def _strategy(name: str) -> Strategy:
 
 def _load_cache_checked(path: str):
     try:
-        cache = load_cache(path)
+        return load_cache(path)
     except OSError as exc:
         raise UsageError(f"cannot read cache file {path}: {exc.strerror}") from None
     except ValueError as exc:
         raise UsageError(f"bad cache file {path}: {exc}") from None
-    # A missing file reads as empty; one in a missing directory can never be written.
-    if not cache and not os.path.isdir(os.path.dirname(path) or "."):
-        raise UsageError(f"cannot write cache file {path}: {os.strerror(errno.ENOENT)}")
-    return cache
 
 
 def _save_cache_checked(path: str, cache: dict[str, WinVector]) -> None:
@@ -305,21 +300,9 @@ def _check_max_n(max_n: int) -> None:
 
 def cmd_scan(args, out) -> int:
     _check_max_n(args.max_n)
-    # Both paths are checked before the scan, so a bad one is reported at once.
-    cache_path = os.environ.get(CACHE_ENV)
-    cache = _load_cache_checked(cache_path) if cache_path else None
     if args.out:
-        _write_out(args.out, "")
+        _write_out(args.out, "")  # a bad path is reported before the scan
     rows = scan(args.max_n, args.filter)
-    if cache is not None:
-        missing = [row for row in rows if str(row.partition) not in cache]
-        for row in missing:
-            cache[str(row.partition)] = WinVector(
-                row.partition,
-                tuple([False] * (row.k - 1) + [b == "1" for b in row.winvector]),
-            )
-        if missing:
-            _save_cache_checked(cache_path, cache)
     csv_text = scan_csv(rows)
     if args.out:
         _write_out(args.out, csv_text)

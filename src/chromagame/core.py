@@ -12,8 +12,9 @@ reused one.
 
 A `GameState` is therefore a plain record: the partition, one colored
 count per part (`colored`, aligned with `partition.sizes`), the budget, the
-colors used, the move count and the last move; `GameState` and `Move` are
-named tuples. The rules read the counts as whole tuples: Alice has won iff
+colors used and the last move; `GameState` and `Move` are named tuples.
+Each move colors one vertex, so the side to move is the parity of the
+colored total. The rules read the counts as whole tuples: Alice has won iff
 `colored == partition.sizes`, and every part is started iff
 `0 not in colored`.
 
@@ -115,7 +116,6 @@ class _GameFields(NamedTuple):
     colored: tuple[int, ...]  # colored vertices per part, aligned with partition.sizes
     budget: int
     used: int = 0  # colors consumed so far (colors never leave the board)
-    move_count: int = 0
     last_move: Optional[Move] = None
 
 
@@ -124,15 +124,14 @@ class GameState(_GameFields):
 
     Building a state checks it: one count per part, each in 0..size, a
     budget of at least 1, `used` between the number of started parts (each
-    took its own first color) and the budget, a move count equal to the
-    colored total (each move colors one vertex), and a last move, if any,
-    into a part that has a colored vertex. `apply_move` builds its
+    took its own first color) and the budget, and a last move, if any, into
+    a part that has a colored vertex. `apply_move` builds its
     successors as plain tuples, without these checks.
     """
 
     __slots__ = ()
 
-    def __new__(cls, partition, colored, budget, used=0, move_count=0, last_move=None):
+    def __new__(cls, partition, colored, budget, used=0, last_move=None):
         colored = tuple(colored)
         sizes = partition.sizes
         if len(colored) != len(sizes):
@@ -146,17 +145,15 @@ class GameState(_GameFields):
             raise ValueError(
                 f"{used} colors used, but {started} parts are started and the budget is {budget}"
             )
-        if move_count != sum(colored):
-            raise ValueError(f"move count {move_count}, but {sum(colored)} vertices are colored")
         if last_move is not None and not (
             0 <= last_move.part < len(colored) and colored[last_move.part]
         ):
             raise ValueError(f"last move {last_move} names no part with a colored vertex")
-        return super().__new__(cls, partition, colored, budget, used, move_count, last_move)
+        return super().__new__(cls, partition, colored, budget, used, last_move)
 
     @property
     def turn(self) -> str:
-        return ALICE if self.move_count % 2 == 0 else BOB
+        return ALICE if sum(self.colored) % 2 == 0 else BOB
 
 
 _tuple_new = tuple.__new__  # builds a GameState without its checks
@@ -225,7 +222,6 @@ def apply_move(state: GameState, move: Move) -> GameState:
         colored[:part] + (count + 1,) + colored[part + 1 :],
         state.budget,
         state.used + fresh,
-        state.move_count + 1,
         move,
     ))
 

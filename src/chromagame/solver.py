@@ -128,19 +128,22 @@ class WinVector:
 
     @classmethod
     def from_cache_line(cls, line: str) -> "WinVector":
-        part_text, chi_text, bits = line.strip().split(";")
-        partition = Partition.parse(part_text)
+        try:
+            part_text, chi_text, bits = line.strip().split(";")
+            partition, chi = Partition.parse(part_text), int(chi_text)
+        except ValueError:
+            raise ValueError(f"bad cache line: {line!r}") from None
         k = partition.k
         if len(bits) != partition.n - k + 1 or any(b not in "01" for b in bits):
             raise ValueError(f"bad cache line: {line!r}")
         wins = tuple([False] * (k - 1) + [b == "1" for b in bits])
-        vec = cls(partition, wins)
-        if vec.chi_g != int(chi_text):
-            raise ValueError(f"cache line value mismatch: {line!r}")
         # Cheap consistency checks, not a re-solve: n colors always let
         # Alice color every vertex, and the table is exact where it applies.
         if not wins[-1]:
             raise ValueError(f"cache line has Alice losing with n colors: {line!r}")
+        vec = cls(partition, wins)
+        if vec.chi_g != chi:
+            raise ValueError(f"cache line value mismatch: {line!r}")
         table = table1_chi_g(partition)
         if table is not None and table != vec.chi_g:
             raise ValueError(f"cache line contradicts the table value {table}: {line!r}")
@@ -239,16 +242,11 @@ class _RestrictedSearch:
         - The rule's bookkeeping `aux` is left out. Only acomposite keeps
           any beyond its anchor, and its positions with one key share it
           where it matters:
-          1. `opened` is True exactly when the anchor has a colored vertex.
-             Every entry into `anchor` or `anchor_s` with `opened=False`
-             happens on Alice's turn with the anchor uncolored, and her next
-             move opens it; every other entry names a triple the opponent
-             has already colored.
-          2. `anchor` and `anchor_s` differ only by a2p's singleton clause.
+          1. `anchor` and `anchor_s` differ only by a2p's singleton clause.
              `anchor` is entered after both singletons are colored, so any
              key it shares with an `anchor_s` position has no uncolored
              singleton, and both phases allow the same moves.
-          3. Each scripted phase (`open` ... `watch`) occurs at one move
+          2. Each scripted phase (`open` ... `watch`) occurs at one move
              count. Any two phases present at the same move count differ in
              the anchor part's code (or its absence) or in the colored count
              of the size-4 part.
@@ -274,6 +272,9 @@ class _RestrictedSearch:
         """The position's value if it is settled or memoized, else a stack
         frame: its key, the position and an iterator over its moves.
 
+        A position with every part started is settled for Alice: the game
+        can only end fully colored (see `fixing_move_played`).
+
         A position with fewer colors left than unstarted parts is settled
         for Bob, whatever either seat plays:
 
@@ -284,10 +285,11 @@ class _RestrictedSearch:
         - While a color is left, a fresh move into an unstarted part stays
           legal, so play goes on until the budget is spent with a part
           unstarted: `status`'s Bob win.
+
+        The two checks also settle every terminal position, so `status` is
+        not asked: a full board has every part started, and a Bob win has an
+        unstarted part and no color left.
         """
-        st = status(state)
-        if st is not GameStatus.ONGOING:
-            return (st is GameStatus.ALICE_WON) == self.goal_alice
         if fixing_move_played(state):
             return self.goal_alice
         if state.budget - state.used < state.colored.count(0):

@@ -130,15 +130,15 @@ def _start_sized(
     return [Move(i, True) for i in parts if sizes[i] == size]
 
 
-def _anchor(state: GameState, anchor: int, opened: bool) -> list[Move]:
+def _anchor(state: GameState, anchor: int) -> list[Move]:
     """a2's anchor clauses on the fixed part `anchor`: open it with a new
-    color unless `opened` says the opening is accounted for, then mirror an
-    opponent's move inside it by reuse while it is still open."""
+    color while it has no colored vertex, then mirror an opponent's move
+    inside it by reuse while it is still open."""
     size, colored = state.partition.sizes[anchor], state.colored[anchor]
-    if not opened and colored < size:
+    if not colored:
         return [Move(anchor, True)]
     last = state.last_move
-    if last is not None and last.part == anchor and 0 < colored < size:
+    if last is not None and last.part == anchor and colored < size:
         return [Move(anchor, False)]
     return []
 
@@ -188,11 +188,7 @@ class SingletonFreshStarter(FreshStarter):
 
 
 class TripleAnchor(Strategy):
-    """a2: open the fixed size-3 part first and mirror Bob inside it.
-
-    The opening is accounted for once Alice has moved; she moves first, so on
-    her turn that is `move_count > 0` and the rule carries no bookkeeping.
-    """
+    """a2: open the fixed size-3 part first and mirror Bob inside it."""
 
     id = "a2"
     side = ALICE
@@ -204,7 +200,7 @@ class TripleAnchor(Strategy):
         return state.partition.sizes.index(3)
 
     def admissible(self, aux, state):
-        anchor = _anchor(state, self.anchor_part(aux, state), state.move_count > 0)
+        anchor = _anchor(state, self.anchor_part(aux, state))
         return anchor or _start_or_fill(state)
 
 
@@ -214,7 +210,7 @@ class SingletonTripleAnchor(TripleAnchor):
     id = "a2p"
 
     def admissible(self, aux, state):
-        anchor = _anchor(state, self.anchor_part(aux, state), state.move_count > 0)
+        anchor = _anchor(state, self.anchor_part(aux, state))
         return anchor or _singletons(state) or _start_or_fill(state)
 
 
@@ -295,8 +291,8 @@ class CompositeOpening(Strategy):
     #   ("reply2",)               waiting for the opponent's second reply
     #   ("close_big",)            scripted completion of the size-4 part
     #   ("watch",)                waiting to pick the anchor for a2p
-    #   ("anchor", vj, opened)    delegated a2
-    #   ("anchor_s", vj, opened)  delegated a2p
+    #   ("anchor", vj)            delegated a2
+    #   ("anchor_s", vj)          delegated a2p
     #   ("solo",)                 delegated a1p
 
     def is_applicable(self, partition):
@@ -323,14 +319,14 @@ class CompositeOpening(Strategy):
         if phase == "reply1":
             size = sizes[move.part]
             if size == 1:
-                return ("anchor", self._first_triple(state.partition), False)
+                return ("anchor", self._first_triple(state.partition))
             if size == 3:
                 return ("fill_singleton", move.part)
             return ("join_big",)
         if phase == "fill_singleton":
             # The opponent's opening move into the triple stands in for our
             # own anchor-opening move.
-            return ("anchor", aux[1], True)
+            return ("anchor", aux[1])
         if phase == "join_big":
             return ("reply2",)
         if phase == "reply2":
@@ -341,10 +337,8 @@ class CompositeOpening(Strategy):
             return ("watch",)
         if phase == "watch":
             if sizes[move.part] == 3:
-                return ("anchor_s", move.part, True)
-            return ("anchor_s", self._first_triple(state.partition), False)
-        if phase in ("anchor", "anchor_s") and state.turn == ALICE:
-            return (phase, aux[1], True)
+                return ("anchor_s", move.part)
+            return ("anchor_s", self._first_triple(state.partition))
         return aux
 
     def admissible(self, aux, state):
@@ -354,9 +348,9 @@ class CompositeOpening(Strategy):
         if phase in ("join_big", "close_big"):
             return [Move(0, False)]
         if phase == "anchor":
-            return _anchor(state, aux[1], aux[2]) or _start_or_fill(state)
+            return _anchor(state, aux[1]) or _start_or_fill(state)
         if phase == "anchor_s":
-            return _anchor(state, aux[1], aux[2]) or _singletons(state) or _start_or_fill(state)
+            return _anchor(state, aux[1]) or _singletons(state) or _start_or_fill(state)
         if phase == "solo":
             return _singletons(state) or _start_or_fill(state)
         # reply1/reply2/watch are opponent-turn phases
@@ -385,7 +379,7 @@ class RandomMover(Strategy):
 
     def choose(self, aux, state):
         seed = self.seed if self.seed is not None else 0
-        rng = random.Random(seed * 1_000_003 + state.move_count)
+        rng = random.Random(seed * 1_000_003 + sum(state.colored))
         return rng.choice(legal_moves(state))
 
 

@@ -35,6 +35,7 @@ from chromagame.harness import (
 )
 from chromagame.solver import alice_wins, canonicalize, chi_g, win_vector
 
+from count_states import enumerate_count_states
 from oracle import VertexGame, project_counts, project_moves, realize
 
 
@@ -152,32 +153,6 @@ def test_criterion_6_b1p_conjecture():
 # --- criterion 7: property suites ------------------------------------------
 
 
-def enumerate_count_states(partition, budget):
-    """Every reachable count state with its per-part (colored, distinct)
-    counts; the model keeps only their total, so the test tracks each part's."""
-    seen = []
-    start = (initial_state(partition, budget), (0,) * partition.k)
-    keys = {(tuple((c, 0) for c in start[0].colored), 0)}
-    stack = [start]
-    while stack:
-        state, distinct = stack.pop()
-        counts = tuple(zip(state.colored, distinct))
-        seen.append((state, counts))
-        if status(state) is not GameStatus.ONGOING:
-            continue
-        for m in legal_moves(state):
-            nxt = apply_move(state, m)
-            nxt_distinct = tuple(d + (m.fresh and i == m.part) for i, d in enumerate(distinct))
-            key = (
-                tuple(zip(nxt.colored, nxt_distinct)),
-                nxt.move_count % 2,
-            )
-            if key not in keys:
-                keys.add(key)
-                stack.append((nxt, nxt_distinct))
-    return seen
-
-
 def test_criterion_7a_engine_oracle_equivalence():
     """Count engine == vertex oracle on all states, and solver == brute-force
     minimax, for every shape with n <= 8 and every budget."""
@@ -187,7 +162,7 @@ def test_criterion_7a_engine_oracle_equivalence():
     for partition in partitions:
         for budget in range(1, partition.n + 1):
             game = VertexGame(partition.sizes, budget)
-            for state, counts in enumerate_count_states(partition, budget):
+            for counts, state in enumerate_count_states(partition, budget).items():
                 states_checked += 1
                 assert state.used == sum(d for _c, d in counts)
                 assignment = realize(partition.sizes, counts, budget)
@@ -324,7 +299,6 @@ def test_criterion_7c_canonicalization_invariance_1000():
         budget = used + rng.randint(0, 2)
         if budget < 1:
             continue
-        moves = sum(c for c, _d in fills)
 
         def build(order):
             return GameState(
@@ -332,7 +306,6 @@ def test_criterion_7c_canonicalization_invariance_1000():
                 colored=tuple(fills[i][0] for i in order),
                 budget=budget,
                 used=used,
-                move_count=moves,
             )
 
         base = build(range(len(sizes)))

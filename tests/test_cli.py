@@ -171,25 +171,27 @@ class TestScan:
         assert invoke(["scan", "--max-n", "3", "--out", str(path)]) == (2, "")
         assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
 
-    @pytest.mark.parametrize("bad", ["out", "cache", "missing-dir"])
+    @pytest.mark.parametrize("bad", ["out"])
     def test_bad_path_reported_before_the_scan(self, tmp_path, monkeypatch, capsys, bad):
         def no_scan(*args):
-            raise AssertionError("scan ran before the paths were checked")
+            raise AssertionError("scan ran before the path was checked")
 
         monkeypatch.setattr("chromagame.cli.scan", no_scan)
-        argv = ["scan", "--max-n", "18"]
-        if bad == "out":
-            argv += ["--out", str(tmp_path / "absent" / "rows.csv")]
-            message = f"error: cannot write {tmp_path / 'absent' / 'rows.csv'}: "
-        elif bad == "cache":
-            monkeypatch.setenv("CHROMA_CACHE", str(tmp_path))  # a directory
-            message = f"error: cannot read cache file {tmp_path}: "
-        else:
-            path = tmp_path / "absent" / "wins.cache"
-            monkeypatch.setenv("CHROMA_CACHE", str(path))
-            message = f"error: cannot write cache file {path}: No such file or directory"
-        assert invoke(argv) == (2, "")
-        assert capsys.readouterr().err.startswith(message)
+        path = tmp_path / "absent" / "rows.csv"
+        assert invoke(["scan", "--max-n", "18", "--out", str(path)]) == (2, "")
+        assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
+
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_scan_ignores_the_cache(self, tmp_path, monkeypatch, exists):
+        path = tmp_path / "wins.cache"
+        monkeypatch.setenv("CHROMA_CACHE", str(path))
+        if exists:
+            assert invoke(["solve", "3,3,3"])[0] == 0
+            before = (path.read_bytes(), path.stat().st_mtime_ns)
+        assert invoke(["scan", "--max-n", "4"])[0] == 0
+        if exists:
+            assert (path.read_bytes(), path.stat().st_mtime_ns) == before
+        assert [p.name for p in tmp_path.iterdir()] == (["wins.cache"] if exists else [])
 
 
 class TestConjectures:
@@ -426,13 +428,12 @@ class TestCache:
     def test_hit_leaves_file_untouched(self, tmp_path, monkeypatch):
         path = tmp_path / "wins.cache"
         monkeypatch.setenv("CHROMA_CACHE", str(path))
-        assert invoke(["solve", "3,3,3"])[0] == 0
-        assert invoke(["scan", "--max-n", "2"])[0] == 0  # adds 1, 2 and 1,1
+        for shape in ("3,3,3", "1", "2", "1,1"):
+            assert invoke(["solve", shape])[0] == 0
         assert path.read_text() == "1;1;1\n1,1;2;1\n2;1;11\n3,3,3;4;0111111\n"
         before = (path.read_bytes(), path.stat().st_mtime_ns)
         assert invoke(["solve", "3,3,3"])[0] == 0
         assert invoke(["solve", "1,1"])[0] == 0
-        assert invoke(["scan", "--max-n", "2"])[0] == 0
         assert (path.read_bytes(), path.stat().st_mtime_ns) == before
         assert [p.name for p in tmp_path.iterdir()] == ["wins.cache"]
 
@@ -450,6 +451,13 @@ class TestCache:
         code, text = invoke(["solve", "2,1"])
         assert code == 2 and text == ""
         assert capsys.readouterr().err.startswith(f"error: bad cache file {path}")
+
+    def test_malformed_record_names_the_line(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "wins.cache"
+        path.write_text("3,3;3\n")
+        monkeypatch.setenv("CHROMA_CACHE", str(path))
+        assert invoke(["solve", "3,3"]) == (2, "")
+        assert capsys.readouterr().err == f"error: bad cache file {path}: bad cache line: '3,3;3'\n"
 
     @pytest.mark.parametrize("where,action", [("", "read"), ("absent/wins.cache", "write")])
     def test_unusable_path_is_usage_error(self, tmp_path, monkeypatch, capsys, where, action):

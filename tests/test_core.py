@@ -27,6 +27,7 @@ from chromagame.core import (
     uncolored_parts,
 )
 
+from count_states import enumerate_count_states
 from oracle import VertexGame, project_counts, project_moves, realize
 
 
@@ -68,39 +69,33 @@ class TestGameState:
         assert Move(1, False).action == "reuse" and str(Move(1, False)) == "(part 1, reuse)"
         p = Partition((2, 2))
         s = initial_state(p, budget=3)
-        assert s == (p, (0, 0), 3, 0, 0, None)
+        assert s == (p, (0, 0), 3, 0, None)
         assert s.turn == ALICE
         with pytest.raises(AttributeError):
             s.used = 1
 
     def test_consistent_direct_state_is_accepted(self):
-        s = GameState(Partition((2, 2)), (1, 0), 3, used=1, move_count=1, last_move=Move(0, True))
+        s = GameState(Partition((2, 2)), (1, 0), 3, used=1, last_move=Move(0, True))
         assert status(s) is GameStatus.ONGOING
         assert s == apply_move(initial_state(Partition((2, 2)), 3), Move(0, True))
 
     def test_started_part_without_a_used_color_is_rejected(self):
         # Formerly ONGOING with three legal moves.
         with pytest.raises(ValueError, match="started"):
-            GameState(Partition((2, 2)), (1, 0), budget=3, used=0, move_count=1)
+            GameState(Partition((2, 2)), (1, 0), budget=3, used=0)
 
     def test_used_beyond_the_budget_is_rejected(self):
         # Formerly read as BOB_WON.
         with pytest.raises(ValueError, match="budget"):
-            GameState(Partition((2, 2)), (1, 0), budget=3, used=7, move_count=1)
+            GameState(Partition((2, 2)), (1, 0), budget=3, used=7)
 
     @pytest.mark.parametrize("colored", [(1,), (1, 0, 0), (3, 0), (-1, 0)])
     def test_counts_must_fit_the_parts(self, colored):
         with pytest.raises(ValueError):
             GameState(Partition((2, 2)), colored, budget=3, used=1)
 
-    @pytest.mark.parametrize("move_count", [0, 2])
-    def test_move_count_must_match_the_colored_total(self, move_count):
-        # Formerly accepted: with move_count 0, one colored vertex read as Alice's turn.
-        with pytest.raises(ValueError, match="move count"):
-            GameState(Partition((2, 2)), (1, 0), 3, used=1, move_count=move_count)
-
     @pytest.mark.parametrize(
-        "colored, move_count, last_move",
+        "colored, used, last_move",
         [
             ((1, 0), 1, Move(1, True)),  # formerly accepted: a move into an unstarted part
             ((1, 0), 1, Move(-1, True)),  # names no part; would mark the last part
@@ -108,9 +103,9 @@ class TestGameState:
             ((0, 0), 0, Move(0, True)),  # a last move before any move
         ],
     )
-    def test_last_move_must_name_a_colored_part(self, colored, move_count, last_move):
+    def test_last_move_must_name_a_colored_part(self, colored, used, last_move):
         with pytest.raises(ValueError, match="last move"):
-            GameState(Partition((2, 2)), colored, 3, sum(colored), move_count, last_move)
+            GameState(Partition((2, 2)), colored, 3, used, last_move)
 
     def test_budget_below_one_is_rejected(self):
         with pytest.raises(ValueError, match="budget"):
@@ -152,7 +147,6 @@ class TestApplyMove:
         assert s.used == 1
         assert s.turn == BOB
         assert s.last_move == Move(0, True)
-        assert s.move_count == 1
 
     def test_reuse_adds_no_color(self):
         s = initial_state(Partition.of([3, 3]), budget=5)
@@ -195,35 +189,6 @@ class TestStatus:
         assert fixing_move_played(s)
 
 
-def enumerate_count_states(partition, budget):
-    """Search over all reachable count states, terminal or not, each with
-    its per-part (colored, distinct) counts. The model keeps only the total
-    of the distinct counts (`used`); the test tracks each part's own."""
-    start = initial_state(partition, budget)
-    found = {freeze(start, (0,) * partition.k): start}
-    frontier = [(start, (0,) * partition.k)]
-    while frontier:
-        state, distinct = frontier.pop()
-        if status(state) is not GameStatus.ONGOING:
-            continue
-        for m in legal_moves(state):
-            nxt = apply_move(state, m)
-            nxt_distinct = tuple(d + (m.fresh and i == m.part) for i, d in enumerate(distinct))
-            key = freeze(nxt, nxt_distinct)
-            if key not in found:
-                found[key] = nxt
-                frontier.append((nxt, nxt_distinct))
-    return found
-
-
-def freeze(state, distinct):
-    """A state's per-part (colored, distinct) counts and its turn."""
-    return (
-        tuple(zip(state.colored, distinct)),
-        state.move_count % 2,
-    )
-
-
 SMALL_BOARDS = [
     ((1,), 1),
     ((2, 1), 2),
@@ -249,7 +214,7 @@ def test_oracle_state_equivalence(sizes, budget):
     game = VertexGame(partition.sizes, budget)
     states = enumerate_count_states(partition, budget)
     assert len(states) > 1
-    for (counts, _parity), state in states.items():
+    for counts, state in states.items():
         assert state.used == sum(d for _c, d in counts)
         assignment = realize(partition.sizes, counts, budget)
         assert project_counts(assignment) == counts

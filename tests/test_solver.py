@@ -4,6 +4,7 @@ vertex oracle, win-vector invariants, and the restricted-search contracts."""
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -41,7 +42,7 @@ from chromagame.strategies import InapplicableStrategyError, get_strategy
 from oracle import VertexGame
 
 
-def make_state(sizes, fills, budget, move_count):
+def make_state(sizes, fills, budget):
     """Build a state directly from per-part (colored, distinct) pairs; the
     colors used are the sum of the distinct counts."""
     return GameState(
@@ -49,19 +50,18 @@ def make_state(sizes, fills, budget, move_count):
         colored=tuple(c for c, _d in fills),
         budget=budget,
         used=sum(d for _c, d in fills),
-        move_count=move_count,
     )
 
 
 class TestCanonicalize:
     def test_equal_size_parts_interchange(self):
-        a = make_state((4, 4), [(3, 2), (1, 1)], 5, 4)
-        b = make_state((4, 4), [(1, 1), (3, 2)], 5, 4)
+        a = make_state((4, 4), [(3, 2), (1, 1)], 5)
+        b = make_state((4, 4), [(1, 1), (3, 2)], 5)
         assert canonicalize(a) == canonicalize(b)
 
     def test_turn_distinguishes(self):
-        a = make_state((3, 3), [(1, 1), (0, 0)], 4, 1)
-        b = make_state((4, 3), [(2, 1), (0, 0)], 4, 2)
+        a = make_state((3, 3), [(1, 1), (0, 0)], 4)
+        b = make_state((4, 3), [(2, 1), (0, 0)], 4)
         assert canonicalize(a)[:3] == canonicalize(b)[:3]  # unstarted, pool, colors left
         assert canonicalize(a) != canonicalize(b)
 
@@ -82,8 +82,7 @@ class TestCanonicalize:
             budget = used + rng.randint(0, 3)
             if budget == 0:
                 continue
-            move_count = sum(c for c, _d in fills)
-            base = make_state(tuple(sizes), fills, budget, move_count)
+            base = make_state(tuple(sizes), fills, budget)
             # shuffle equal-size blocks
             order = list(range(len(sizes)))
             rng.shuffle(order)
@@ -92,7 +91,6 @@ class TestCanonicalize:
                 tuple(sizes[i] for i in order),
                 [fills[i] for i in order],
                 budget,
-                move_count,
             )
             assert canonicalize(base) == canonicalize(permuted)
 
@@ -107,7 +105,7 @@ def test_pooled_key_values_every_reachable_position(sizes):
         pooled: dict = {}
 
         def value(state):
-            key = (state.colored, state.used, state.move_count)
+            key = (state.colored, state.used)
             if key not in plain:
                 st = status(state)
                 if st is not GameStatus.ONGOING:
@@ -257,11 +255,10 @@ def test_refutations_replay_to_the_pinned_seat_loss(sizes):
     "k, mode", [(k, DETERMINISTIC) for k in range(6, 10)] + [(6, UNIVERSAL), (7, UNIVERSAL)]
 )
 def test_acomposite_bookkeeping_follows_the_board(k, mode):
-    """The facts that let the pinned-search key leave acomposite's `aux`
-    out, at every position the search keys on K_{4,3^(k-3),1,1} with 2k - 4
-    colors (the non-optimality budget): `opened` holds exactly when the
-    anchor has a colored vertex, and phase `anchor` is entered only once
-    both singletons are colored."""
+    """The fact that lets the pinned-search key merge acomposite's `anchor`
+    and `anchor_s` phases, at every position the search keys on
+    K_{4,3^(k-3),1,1} with 2k - 4 colors (the non-optimality budget): phase
+    `anchor` is entered only once both singletons are colored."""
     partition = Partition((4,) + (3,) * (k - 3) + (1, 1))
     strategy = get_strategy("acomposite")
     search = _RestrictedSearch(strategy, ALICE, mode)
@@ -273,10 +270,7 @@ def test_acomposite_bookkeeping_follows_the_board(k, mode):
         if over or (state, aux) in seen:
             continue
         seen.add((state, aux))
-        phase = aux[0]
-        if phase in ("anchor", "anchor_s"):
-            assert aux[2] == (state.colored[aux[1]] > 0), (state, aux)
-        if phase == "anchor":
+        if aux[0] == "anchor":
             assert state.colored[-2:] == (1, 1), (state, aux)
         stack.extend(
             (apply_move(state, m), strategy.advance(aux, state, m))
@@ -355,6 +349,11 @@ class TestWinVector:
             WinVector.from_cache_line("2,2;9;01")
         with pytest.raises(ValueError):
             WinVector.from_cache_line("2,2;3;0x1")
+        for line in ("3,3;3", "3,3;3;01111;9", "3,3;x;01111"):
+            with pytest.raises(ValueError, match=re.escape(f"bad cache line: {line!r}")):
+                WinVector.from_cache_line(line)
+        with pytest.raises(ValueError, match="Alice losing with n colors"):
+            WinVector.from_cache_line("3,3;3;00000")
 
     def test_load_cache_missing_file(self, tmp_path):
         assert load_cache(str(tmp_path / "absent")) == {}

@@ -45,7 +45,6 @@ def walk_adversary(strategy, partition, budget, visit):
         return (
             state.colored,
             marks,
-            state.move_count % 2,
             (state.last_move.part, state.last_move.fresh) if state.last_move else None,
             aux,
         )
