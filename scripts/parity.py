@@ -26,7 +26,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 os.environ.pop("CHROMA_CACHE", None)
 
 from chromagame import cli  # noqa: E402
-from chromagame.core import Partition  # noqa: E402
+from chromagame.core import (  # noqa: E402
+    GameStatus,
+    Partition,
+    apply_move,
+    initial_state,
+    legal_moves,
+    status,
+)
 from chromagame.harness import all_partitions, guarantee_suite  # noqa: E402
 from chromagame.solver import DETERMINISTIC, UNIVERSAL, refute_restricted  # noqa: E402
 from chromagame.strategies import get_strategy  # noqa: E402
@@ -109,6 +116,44 @@ def simulate():
                 )
 
 
+def rules():
+    """Each analyzed rule on every applicable shape with n <= 7, and
+    acomposite on K_{4,3,3,3,1,1}, at every budget: every position reachable
+    when the rule's seat plays any admissible move and the other seat any
+    legal move. At each position of the rule's seat, the record holds the
+    rule's admissible moves, its choice and its anchor part."""
+    cases = [
+        (partition, budget, name)
+        for partition, budget in shape_budgets(7)
+        for name in RULES
+        if get_strategy(name).is_applicable(partition)
+    ]
+    composite = Partition((4, 3, 3, 3, 1, 1))
+    cases += [(composite, budget, "acomposite") for budget in range(1, composite.n + 1)]
+    for partition, budget, name in cases:
+        rule = get_strategy(name)
+        start = (initial_state(partition, budget), rule.initial_aux(partition))
+        seen, stack = {start}, [start]
+        while stack:
+            state, aux = stack.pop()
+            if status(state) is not GameStatus.ONGOING:
+                continue
+            if state.turn == rule.side:
+                moves = rule.admissible(aux, state)
+                yield json.dumps(
+                    [str(partition), budget, name, state.colored, state.used, state.last_move,
+                     aux, moves, moves and rule.choose(aux, state),
+                     rule.anchor_part(aux, state)]
+                )
+            else:
+                moves = legal_moves(state)
+            for move in moves:
+                child = (apply_move(state, move), rule.advance(aux, state, move))
+                if child not in seen:
+                    seen.add(child)
+                    stack.append(child)
+
+
 def scan():
     """The scan CSV without its last (`ms`) column, then the exit code."""
     out = io.StringIO()
@@ -131,6 +176,7 @@ SURFACES = {
     "simulate": simulate,
     "scan": scan,
     "solve": solve,
+    "rules": rules,
 }
 
 

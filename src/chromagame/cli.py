@@ -107,7 +107,7 @@ def _solve_payload(partition: Partition, vec: WinVector) -> dict:
     }
 
 
-def cmd_solve(args, out) -> int:
+def cmd_solve(args, out, inp) -> int:
     partition = _partition(args.partition)
     cache_path = os.environ.get(CACHE_ENV)
     cache = _load_cache_checked(cache_path) if cache_path else {}
@@ -133,7 +133,7 @@ def cmd_solve(args, out) -> int:
     return 0
 
 
-def cmd_formula(args, out) -> int:
+def cmd_formula(args, out, inp) -> int:
     partition = _partition(args.partition)
     report = table1_report(partition)
     if args.format == "json":
@@ -146,7 +146,7 @@ def cmd_formula(args, out) -> int:
     return 0
 
 
-def cmd_bounds(args, out) -> int:
+def cmd_bounds(args, out, inp) -> int:
     partition = _partition(args.partition)
     reports = bounds(partition)
     if args.format == "json":
@@ -190,7 +190,7 @@ def _game_args(args) -> tuple[Partition, Strategy, Strategy]:
     return partition, _strategy(args.alice), _strategy(args.bob)
 
 
-def cmd_simulate(args, out) -> int:
+def cmd_simulate(args, out, inp) -> int:
     partition, alice, bob = _game_args(args)
     try:
         record = simulate(partition, args.colors, alice, bob, seed=args.seed)
@@ -222,7 +222,7 @@ def _prompt_move(state: GameState, moves: list[Move], inp, out) -> Move:
         if line == "":
             raise EOFError
         choice = line.strip()
-        if choice.isdigit() and int(choice) < len(moves):
+        if choice.isdecimal() and int(choice) < len(moves):
             return moves[int(choice)]
         _emit(out, f"invalid input {choice!r}; try again")
 
@@ -261,7 +261,7 @@ def cmd_play(args, out, inp) -> int:
     return 0
 
 
-def cmd_verify(args, out) -> int:
+def cmd_verify(args, out, inp) -> int:
     partition = _partition(args.partition)
     strategy = _strategy(args.strategy)
     mode = UNIVERSAL if args.universal else DETERMINISTIC
@@ -298,7 +298,7 @@ def _check_max_n(max_n: int) -> None:
         raise UsageError(f"--max-n must be at least 1, got {max_n}")
 
 
-def cmd_scan(args, out) -> int:
+def cmd_scan(args, out, inp) -> int:
     _check_max_n(args.max_n)
     if args.out:
         _write_out(args.out, "")  # a bad path is reported before the scan
@@ -320,22 +320,23 @@ def cmd_scan(args, out) -> int:
     return 0
 
 
-def cmd_conjecture(args, out) -> int:
-    if args.which == "b1p":
-        _check_max_n(args.max_n)
-        mode = UNIVERSAL if args.universal else DETERMINISTIC
-        report = check_b1p_conjecture(args.max_n, mode)
-        _emit(
-            out,
-            f"b1p optimality check up to n = {report.max_n} ({report.mode}): "
-            f"{report.partitions_checked} partitions, {report.cases_checked} cases, "
-            f"{len(report.violations)} violations",
-        )
-        for v in report.violations:
-            _emit(out, f"counterexample on {v.partition.label()} with {v.budget} colors:")
-            _render_record(v.counterexample, out)
-        return 0 if report.passed else 1
-    # nonopt
+def cmd_conjecture_b1p(args, out, inp) -> int:
+    _check_max_n(args.max_n)
+    mode = UNIVERSAL if args.universal else DETERMINISTIC
+    report = check_b1p_conjecture(args.max_n, mode)
+    _emit(
+        out,
+        f"b1p optimality check up to n = {report.max_n} ({report.mode}): "
+        f"{report.partitions_checked} partitions, {report.cases_checked} cases, "
+        f"{len(report.violations)} violations",
+    )
+    for v in report.violations:
+        _emit(out, f"counterexample on {v.partition.label()} with {v.budget} colors:")
+        _render_record(v.counterexample, out)
+    return 0 if report.passed else 1
+
+
+def cmd_conjecture_nonopt(args, out, inp) -> int:
     try:
         report = check_nonoptimality_theorem(args.k)
     except ValueError as exc:
@@ -363,18 +364,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("human", "json"), default="human")
 
     p = sub.add_parser("solve", help="exact game chromatic number and win vector")
+    p.set_defaults(handler=cmd_solve)
     p.add_argument("partition")
     add_format(p)
 
     p = sub.add_parser("formula", help="closed-form table value")
+    p.set_defaults(handler=cmd_formula)
     p.add_argument("partition")
     add_format(p)
 
     p = sub.add_parser("bounds", help="all bounds with applicability")
+    p.set_defaults(handler=cmd_bounds)
     p.add_argument("partition")
     add_format(p)
 
     p = sub.add_parser("simulate", help="play two strategies against each other")
+    p.set_defaults(handler=cmd_simulate)
     p.add_argument("partition")
     p.add_argument("--colors", type=int, required=True)
     p.add_argument("--alice", required=True)
@@ -383,12 +388,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     p = sub.add_parser("play", help="interactive game (use strategy 'human')")
+    p.set_defaults(handler=cmd_play)
     p.add_argument("partition")
     p.add_argument("--colors", type=int, required=True)
     p.add_argument("--alice", required=True)
     p.add_argument("--bob", required=True)
 
     p = sub.add_parser("verify", help="verify a strategy guarantee")
+    p.set_defaults(handler=cmd_verify)
     p.add_argument("partition")
     p.add_argument("--colors", type=int, required=True)
     p.add_argument("--side", choices=(ALICE, BOB), required=True)
@@ -396,6 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--universal", action="store_true")
 
     p = sub.add_parser("scan", help="solve all shapes up to a vertex count")
+    p.set_defaults(handler=cmd_scan)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument(
         "--filter",
@@ -407,11 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conjecture", help="run a conjecture check")
     checks = p.add_subparsers(dest="which", required=True)
     c = checks.add_parser("b1p", help="b1p wins for Bob wherever optimal play does")
+    c.set_defaults(handler=cmd_conjecture_b1p)
     c.add_argument("--max-n", type=int, default=12)
     c.add_argument("--universal", action="store_true")
     c = checks.add_parser(
         "nonopt", help="at 2k-4 colors on K_{4,3^(k-3),1,1}, acomposite wins, simpler rules lose"
     )
+    c.set_defaults(handler=cmd_conjecture_nonopt)
     c.add_argument("--k", type=int, required=True)
 
     return parser
@@ -427,30 +437,22 @@ def run(argv: Optional[list[str]] = None, out=None, inp=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "solve":
-            return cmd_solve(args, out)
-        if args.command == "formula":
-            return cmd_formula(args, out)
-        if args.command == "bounds":
-            return cmd_bounds(args, out)
-        if args.command == "simulate":
-            return cmd_simulate(args, out)
-        if args.command == "play":
-            return cmd_play(args, out, inp)
-        if args.command == "verify":
-            return cmd_verify(args, out)
-        if args.command == "scan":
-            return cmd_scan(args, out)
-        if args.command == "conjecture":
-            return cmd_conjecture(args, out)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.handler(args, out, inp)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at devnull so that the flush at
+        # exit cannot fail again (the recipe in the `signal` module docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -3,8 +3,10 @@
 Every rule is a priority list of clauses evaluated on the owner's turn; the
 first clause that matches the position decides the move. A clause is a
 function that returns the moves it allows, or an empty list when it does
-not match, so each rule's `admissible` is its clauses joined by `or`, and
-rules share clauses instead of copying them. `admissible_moves` returns
+not match. Each analyzed rule apart from `acomposite` is a `Rule` value (an
+id, a side, a tuple of clauses, a shape test and an optional anchor) in one
+table, so rules share clauses instead of copying them and a new chain is
+one row, not a class. `admissible_moves` returns
 every move the matched clause allows (the universal reading of each "pick
 any part" freedom), while `choose_move` applies the deterministic
 tie-breaks: lowest part index first, and the smallest already-present color
@@ -38,6 +40,7 @@ harness plumbing, not analyzed rules.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, field
 from typing import Callable, Hashable, Optional
 
 from .core import (
@@ -164,109 +167,66 @@ def _echo_or_fill(state: GameState) -> list[Move]:
     return [Move(i, fresh) for i in partial if sizes[i] - colored[i] == fewest]
 
 
+def _first_triple(partition: Partition) -> int:
+    return partition.sizes.index(3)
+
+
+def _open_or_mirror(state: GameState) -> list[Move]:
+    """a2's anchor clauses on the first size-3 part."""
+    return _anchor(state, _first_triple(state.partition))
+
+
+# clauses with their arguments bound, as the rule table takes them
+def _echo_by_reuse(state: GameState) -> list[Move]:
+    return _echo(state, False)
+
+
+def _start_odd(state: GameState) -> list[Move]:
+    return _start_sized(state, min, lambda size: size % 2 == 1)
+
+
+def _start_largest(state: GameState) -> list[Move]:
+    return _start_sized(state, max)
+
+
+def _start_largest_big(state: GameState) -> list[Move]:
+    return _start_sized(state, max, lambda size: size >= 3)
+
+
+def _start_smallest(state: GameState) -> list[Move]:
+    return _start_sized(state, min)
+
+
 # ---------------------------------------------------------------------------
 # rules
 
 
-class FreshStarter(Strategy):
-    """a1: new color into any unstarted part, else reuse in a partial one."""
+@dataclass(frozen=True, eq=False, repr=False)
+class Rule(Strategy):
+    """An analyzed rule as a value: its admissible moves are the first
+    non-empty result among its `clauses`, in order ([] if none matches).
+    `applies` is its shape test, and `anchor`, if given, names the part
+    the rule anchors on."""
 
-    id = "a1"
-    side = ALICE
-
-    def admissible(self, aux, state):
-        return _start_or_fill(state)
-
-
-class SingletonFreshStarter(FreshStarter):
-    """a1p: a1 with uncolored singletons claimed first."""
-
-    id = "a1p"
-
-    def admissible(self, aux, state):
-        return _singletons(state) or _start_or_fill(state)
-
-
-class TripleAnchor(Strategy):
-    """a2: open the fixed size-3 part first and mirror Bob inside it."""
-
-    id = "a2"
-    side = ALICE
+    # field() gives no default, where Strategy's class attribute would
+    id: str = field()
+    side: Optional[str] = field()
+    clauses: tuple[Callable[[GameState], list[Move]], ...]
+    applies: Callable[[Partition], bool] = lambda partition: True
+    anchor: Optional[Callable[[Partition], int]] = None
 
     def is_applicable(self, partition):
-        return partition.k >= 2 and 3 in partition.sizes
+        return self.applies(partition)
+
+    def admissible(self, aux, state):
+        for clause in self.clauses:
+            moves = clause(state)
+            if moves:
+                return moves
+        return []
 
     def anchor_part(self, aux, state):
-        return state.partition.sizes.index(3)
-
-    def admissible(self, aux, state):
-        anchor = _anchor(state, self.anchor_part(aux, state))
-        return anchor or _start_or_fill(state)
-
-
-class SingletonTripleAnchor(TripleAnchor):
-    """a2p: a2 with the singleton rule just below the anchor-part clauses."""
-
-    id = "a2p"
-
-    def admissible(self, aux, state):
-        anchor = _anchor(state, self.anchor_part(aux, state))
-        return anchor or _singletons(state) or _start_or_fill(state)
-
-
-class OddOpener(Strategy):
-    """a3: echo the opponent inside open parts, reuse, start odd parts.
-
-    The last clause comes up empty only on a board with no partial part and
-    only full or even unstarted parts. That board has an odd move count, so
-    it is never Alice's turn when this seat has played the rule from the start.
-    """
-
-    id = "a3"
-    side = ALICE
-
-    def is_applicable(self, partition):
-        return partition.n % 2 == 1
-
-    def admissible(self, aux, state):
-        return (
-            _echo(state, False)
-            or _fill(state)
-            or _start_sized(state, min, lambda size: size % 2 == 1)
-        )
-
-
-class SingletonOddOpener(OddOpener):
-    """a3p: a3 with the singleton rule at top priority (same first move)."""
-
-    id = "a3p"
-
-    def admissible(self, aux, state):
-        return _singletons(state) or super().admissible(aux, state)
-
-
-class EchoResponder(Strategy):
-    """b1: echo into Alice's part, else fill the fullest partial part, else
-    start the largest unstarted part; fresh color whenever possible."""
-
-    id = "b1"
-    side = BOB
-
-    def admissible(self, aux, state):
-        return _echo_or_fill(state) or _start_sized(state, max)
-
-
-class SmallLastEchoResponder(EchoResponder):
-    """b1p: b1 that starts leftover singletons before leftover pairs."""
-
-    id = "b1p"
-
-    def admissible(self, aux, state):
-        return (
-            _echo_or_fill(state)
-            or _start_sized(state, max, lambda size: size >= 3)
-            or _start_sized(state, min)
-        )
+        return None if self.anchor is None else self.anchor(state.partition)
 
 
 class CompositeOpening(Strategy):
@@ -401,16 +361,32 @@ class HumanPlayer(Strategy):
         return self.picker(state, legal_moves(state))
 
 
+def _has_triple(partition: Partition) -> bool:
+    return partition.k >= 2 and 3 in partition.sizes
+
+
+def _odd_total(partition: Partition) -> bool:
+    return partition.n % 2 == 1
+
+
 _REGISTRY = {
-    "a1": FreshStarter,
-    "a1p": SingletonFreshStarter,
-    "a2": TripleAnchor,
-    "a2p": SingletonTripleAnchor,
-    "a3": OddOpener,
-    "a3p": SingletonOddOpener,
-    "acomposite": CompositeOpening,
-    "b1": EchoResponder,
-    "b1p": SmallLastEchoResponder,
+    rule.id: rule
+    for rule in (
+        Rule("a1", ALICE, (_start_or_fill,)),
+        Rule("a1p", ALICE, (_singletons, _start_or_fill)),
+        Rule("a2", ALICE, (_open_or_mirror, _start_or_fill), _has_triple, _first_triple),
+        Rule("a2p", ALICE, (_open_or_mirror, _singletons, _start_or_fill),
+             _has_triple, _first_triple),
+        # a3's last clause comes up empty only on a board with no partial part
+        # and only full or even unstarted parts. That board has an odd move
+        # count, so it is never Alice's turn when this seat has played the
+        # rule from the start.
+        Rule("a3", ALICE, (_echo_by_reuse, _fill, _start_odd), _odd_total),
+        Rule("a3p", ALICE, (_singletons, _echo_by_reuse, _fill, _start_odd), _odd_total),
+        CompositeOpening(),
+        Rule("b1", BOB, (_echo_or_fill, _start_largest)),
+        Rule("b1p", BOB, (_echo_or_fill, _start_largest_big, _start_smallest)),
+    )
 }
 
 STRATEGY_NAMES = tuple(_REGISTRY) + ("random:<seed>", "human")
@@ -420,7 +396,7 @@ def get_strategy(name: str) -> Strategy:
     """Resolve a strategy name as accepted by the CLI."""
     key = name.strip().lower()
     if key in _REGISTRY:
-        return _REGISTRY[key]()
+        return _REGISTRY[key]
     if key == "random":
         return RandomMover()
     if key.startswith("random:"):

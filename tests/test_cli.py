@@ -5,6 +5,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -248,13 +252,14 @@ class TestPlay:
         assert "fixing move" in text
 
     def test_invalid_then_valid_input(self):
-        feed = "banana\n99\n0\n" + "0\n" * 20
+        feed = "banana\n99\n²\n0\n" + "0\n" * 20
         code, text = invoke(
             ["play", "2,2", "--colors", "3", "--alice", "a1", "--bob", "human"],
             stdin_text=feed,
         )
         assert code == 0
         assert "invalid input" in text
+        assert "invalid input '²'; try again" in text  # a digit that int() rejects
 
     def test_eof_aborts_with_usage_exit(self):
         code, text = invoke(
@@ -361,6 +366,31 @@ class TestUsageErrors:
         code, _ = invoke(argv)
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unknown_strategy_lists_every_name(self, capsys):
+        code, _ = invoke(["simulate", "3,3", "--colors", "3", "--alice", "zzz", "--bob", "b1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: unknown strategy 'zzz'; expected one of a1, a1p, a2, a2p, a3, a3p, "
+            "acomposite, b1, b1p, random:<seed>, human\n"
+        )
+
+
+class TestClosedStdout:
+    def test_exits_one_without_a_traceback(self):
+        """`main` run with its stdout pipe already closed by the reader."""
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        env.pop("CHROMA_CACHE", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "chromagame.cli", "solve", "5,5,1,1"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err == b""
 
 
 SEAT_NAMES = st.sampled_from(

@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import random
 import re
+from dataclasses import FrozenInstanceError
 
 import pytest
 
+from chromagame import strategies
 from chromagame.core import (
     ALICE,
     BOB,
@@ -37,7 +39,7 @@ from chromagame.solver import (
     save_cache,
     win_vector,
 )
-from chromagame.strategies import InapplicableStrategyError, get_strategy
+from chromagame.strategies import InapplicableStrategyError, Rule, get_strategy
 
 from oracle import VertexGame
 
@@ -447,6 +449,30 @@ class TestRestricted:
         assert restricted_value(p, 4, ALICE, get_strategy("a2")) == restricted_value(
             p, 4, ALICE, "a2"
         )
+
+    def test_a_rule_built_outside_the_table_runs_like_its_row(self):
+        """Rules are values: a chain rebuilt from the table's clauses, with
+        no class of its own, gives the same refutations as the named rule."""
+        rebuilt = {
+            "a1p": Rule("x", ALICE, (strategies._singletons, strategies._start_or_fill)),
+            "a2p": Rule(
+                "y", ALICE,
+                (strategies._open_or_mirror, strategies._singletons, strategies._start_or_fill),
+                strategies._has_triple, strategies._first_triple,
+            ),
+        }
+        for sizes in [(3, 3, 1), (4, 3, 1, 1), (3, 2, 2, 1)]:
+            p = Partition.of(sizes)
+            for budget in range(1, p.n + 1):
+                for name, rule in rebuilt.items():
+                    for mode in (DETERMINISTIC, UNIVERSAL):
+                        assert refute_restricted(p, budget, ALICE, rule, mode) == (
+                            refute_restricted(p, budget, ALICE, name, mode)
+                        )
+        a1p = get_strategy("a1p")
+        assert get_strategy("a1p") is a1p
+        with pytest.raises(FrozenInstanceError):
+            a1p.clauses = ()
 
 
 def test_transcript_color_choices_do_not_split_canonical_keys():
