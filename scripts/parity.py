@@ -154,13 +154,18 @@ def rules():
                     stack.append(child)
 
 
-def scan():
+def scan(max_n: int = 14):
     """The scan CSV without its last (`ms`) column, then the exit code."""
     out = io.StringIO()
-    code = cli.run(["scan", "--max-n", "14"], out=out)
+    code = cli.run(["scan", "--max-n", str(max_n)], out=out)
     for row in out.getvalue().splitlines():
         yield row.rsplit(",", 1)[0]
     yield f"exit {code}"
+
+
+def winvectors():
+    """The scan surface to n <= 18, where most budgets are from 2k - 1 up."""
+    return scan(18)
 
 
 def solve():
@@ -177,6 +182,7 @@ SURFACES = {
     "scan": scan,
     "solve": solve,
     "rules": rules,
+    "winvectors": winvectors,
 }
 
 

@@ -53,6 +53,7 @@ from .strategies import (
 )
 
 CACHE_ENV = "CHROMA_CACHE"
+MAX_VERTICES = 100_000  # the largest partition any command accepts
 
 
 class UsageError(Exception):
@@ -61,9 +62,12 @@ class UsageError(Exception):
 
 def _partition(text: str) -> Partition:
     try:
-        return Partition.parse(text)
+        partition = Partition.parse(text)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if partition.n > MAX_VERTICES:
+        raise UsageError(f"{text!r} has {partition.n} vertices; at most {MAX_VERTICES} are accepted")
+    return partition
 
 
 def _strategy(name: str) -> Strategy:

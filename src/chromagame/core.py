@@ -70,14 +70,18 @@ class Partition:
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
-        """Parse comma-separated part sizes, e.g. "4,3,3,1,1"."""
+        """Parse comma-separated part sizes, e.g. "4,3,3,1,1". Each size is
+        ASCII digits only, so `int()`'s signs, underscores and non-ASCII
+        digits are rejected."""
         items = [s.strip() for s in text.split(",")]
         if not items or any(not s for s in items):
             raise ValueError(f"malformed partition string: {text!r}")
+        if not all(s.isascii() and s.isdecimal() for s in items):
+            raise ValueError(f"part sizes must be written with the digits 0-9: {text!r}")
         try:
             sizes = [int(s) for s in items]
-        except ValueError:
-            raise ValueError(f"partition must be comma-separated integers: {text!r}") from None
+        except ValueError:  # more digits than int() converts
+            raise ValueError(f"part size too large: {text!r}") from None
         if any(r < 1 for r in sizes):
             raise ValueError(f"part sizes must be >= 1: {text!r}")
         return cls.of(sizes)

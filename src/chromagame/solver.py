@@ -89,6 +89,23 @@ def alice_wins(partition: Partition, budget: int) -> bool:
     return _value((partition.sizes, 0, budget, ALICE), {})
 
 
+def fresh_starter_budget(partition: Partition) -> int:
+    """2k - 1: with this many colors or more, Alice wins by a1, the fresh
+    starter, which puts a new color on an unstarted part at each of its
+    turns (any move once every part is started).
+
+    Let u be the number of unstarted parts. At Alice's first turn u = k and
+    `left >= 2u - 1`. A round of two moves spends at most two colors and
+    starts at least one part (Alice's), so `left >= 2u - 1` holds again at
+    her next turn until every part is started. Alice therefore always has a
+    color for an unstarted part, and after her move `left >= 2u`, so Bob's
+    one move cannot spend the last color while a part is unstarted. No part
+    is ever stranded, and once every part is started the game can only end
+    fully colored (see `fixing_move_played`).
+    """
+    return 2 * partition.k - 1
+
+
 @dataclass(frozen=True)
 class WinVector:
     """Optimal-play outcome for every budget t = 1..n on one partition."""
@@ -137,10 +154,12 @@ class WinVector:
         if len(bits) != partition.n - k + 1 or any(b not in "01" for b in bits):
             raise ValueError(f"bad cache line: {line!r}")
         wins = tuple([False] * (k - 1) + [b == "1" for b in bits])
-        # Cheap consistency checks, not a re-solve: n colors always let
-        # Alice color every vertex, and the table is exact where it applies.
-        if not wins[-1]:
-            raise ValueError(f"cache line has Alice losing with n colors: {line!r}")
+        # Cheap consistency checks, not a re-solve: Alice wins with n colors
+        # and with `fresh_starter_budget` or more, and the table is exact
+        # where it applies.
+        won = min(partition.n, fresh_starter_budget(partition))
+        if not all(wins[won - 1 :]):
+            raise ValueError(f"cache line has Alice losing with t >= {won} colors: {line!r}")
         vec = cls(partition, wins)
         if vec.chi_g != chi:
             raise ValueError(f"cache line value mismatch: {line!r}")
@@ -152,13 +171,15 @@ class WinVector:
 
 def win_vector(partition: Partition, memo: Optional[dict[tuple, bool]] = None) -> WinVector:
     """Solve every budget. Budgets below k cannot even color the k mutually
-    adjacent parts, so they are settled without search. Keys hold colors
-    left, not the budget, so one `memo` serves every budget and shape."""
+    adjacent parts, and budgets from `fresh_starter_budget` up are won, so
+    both are settled without search; only k..2k - 2 are searched. Keys hold
+    colors left, not the budget, so one `memo` serves every budget and
+    shape."""
     memo = {} if memo is None else memo
-    wins = [False] * (partition.k - 1)
-    for t in range(partition.k, partition.n + 1):
-        wins.append(_value((partition.sizes, 0, t, ALICE), memo))
-    return WinVector(partition, tuple(wins))
+    k, won = partition.k, min(fresh_starter_budget(partition), partition.n + 1)
+    searched = [_value((partition.sizes, 0, t, ALICE), memo) for t in range(k, won)]
+    wins = (False,) * (k - 1) + tuple(searched) + (True,) * (partition.n + 1 - won)
+    return WinVector(partition, wins)
 
 
 def chi_g(partition: Partition) -> int:

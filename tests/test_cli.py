@@ -8,13 +8,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromagame.cli import run
+from chromagame.cli import MAX_VERTICES, run
 
 
 def invoke(argv, stdin_text=""):
@@ -360,6 +361,10 @@ class TestUsageErrors:
             ["conjecture", "b1p", "--max-n", "6", "--k", "7"],
             ["conjecture", "nonopt", "--k", "6", "--universal"],
             ["conjecture", "nonopt", "--k", "6", "--max-n", "5"],
+            ["solve", "3_0"],  # int() reads "3_0" as 30
+            ["solve", "\u0663"],  # an Arabic-Indic three, which int() reads as 3
+            ["solve", "+3"],
+            ["solve", "9" * 5000],  # more digits than int() converts
         ],
     )
     def test_exit_code_two(self, argv, capsys):
@@ -374,6 +379,21 @@ class TestUsageErrors:
             "error: unknown strategy 'zzz'; expected one of a1, a1p, a2, a2p, a3, a3p, "
             "acomposite, b1, b1p, random:<seed>, human\n"
         )
+
+
+class TestVertexCap:
+    def test_huge_partition_is_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        assert invoke(["solve", "99999999999"]) == (2, "")
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"error: '99999999999' has 99999999999 vertices; at most {MAX_VERTICES} are accepted\n"
+        )
+
+    def test_partition_at_the_cap_is_solved(self):
+        code, text = invoke(["solve", str(MAX_VERTICES)])
+        assert code == 0
+        assert text.startswith(f"chi_g(K_{{{MAX_VERTICES}}}) = 1\n")
 
 
 class TestClosedStdout:
@@ -472,6 +492,7 @@ class TestCache:
         [
             "2,1;3;01",  # well formed, but the table says chi_g(K_{2,1}) = 2
             "3,1,1;3;110",  # no table value; Alice must win with n = 5 colors
+            "5,5,1,1;8;000011111",  # no table value; Alice must win with 2k - 1 = 7
         ],
     )
     def test_inconsistent_record_is_usage_error(self, tmp_path, monkeypatch, capsys, line):

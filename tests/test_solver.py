@@ -137,6 +137,15 @@ def test_fewer_colors_than_unstarted_parts_lose_for_alice():
     assert doomed  # the solver does reach such positions
 
 
+def test_settled_budgets_match_the_search():
+    """`win_vector` settles budgets below k and from 2k - 1 up without
+    search; on every shape with n <= 12 each budget matches `alice_wins`,
+    the plain one-budget search."""
+    for partition in all_partitions(12):
+        searched = tuple(alice_wins(partition, t) for t in range(1, partition.n + 1))
+        assert win_vector(partition).wins == searched, partition
+
+
 RULES = ("a1", "a1p", "a2", "a2p", "a3", "a3p", "acomposite", "b1", "b1p")
 
 
@@ -354,8 +363,12 @@ class TestWinVector:
         for line in ("3,3;3", "3,3;3;01111;9", "3,3;x;01111"):
             with pytest.raises(ValueError, match=re.escape(f"bad cache line: {line!r}")):
                 WinVector.from_cache_line(line)
-        with pytest.raises(ValueError, match="Alice losing with n colors"):
+        with pytest.raises(ValueError, match="Alice losing with t >= 3 colors"):
             WinVector.from_cache_line("3,3;3;00000")
+        with pytest.raises(ValueError, match="Alice losing with t >= 7 colors"):
+            WinVector.from_cache_line("5,5,1,1;8;000011111")
+        with pytest.raises(ValueError, match="Alice losing with t >= 4 colors"):
+            WinVector.from_cache_line("2,1,1;3;10")  # 2k - 1 = 5 > n = 4
 
     def test_load_cache_missing_file(self, tmp_path):
         assert load_cache(str(tmp_path / "absent")) == {}
