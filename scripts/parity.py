@@ -34,7 +34,7 @@ from chromagame.core import (  # noqa: E402
     legal_moves,
     status,
 )
-from chromagame.harness import all_partitions, guarantee_suite  # noqa: E402
+from chromagame.harness import NONOPT_ALICE_RULES, all_partitions, guarantee_suite  # noqa: E402
 from chromagame.solver import DETERMINISTIC, UNIVERSAL, refute_restricted  # noqa: E402
 from chromagame.strategies import get_strategy  # noqa: E402
 
@@ -70,11 +70,32 @@ def refutations():
         partition = Partition((4,) + (3,) * (k - 3) + (1, 1))
         for budget in range(1, partition.n + 1):
             cases += [(partition, budget, "acomposite", mode) for mode in modes]
+    return refutation_records(cases)
+
+
+def refutation_records(cases):
     for partition, budget, name, mode in cases:
         side = get_strategy(name).side
         line = refute_restricted(partition, budget, side, name, mode)
         moves = None if line is None else [[m.part, m.fresh] for m in line]
         yield json.dumps([str(partition), budget, name, mode, moves])
+
+
+def refutation_lines():
+    """Refutations from searches larger than those of `refutations`: every
+    applicable simple Alice rule on K_{4,3^(k-3),1,1}, k = 6..11, at 2k - 4
+    and 2k - 3 colors, in both modes."""
+    cases = []
+    for k in range(6, 12):
+        partition = Partition((4,) + (3,) * (k - 3) + (1, 1))
+        cases += [
+            (partition, budget, name, mode)
+            for budget in (2 * k - 4, 2 * k - 3)
+            for name in NONOPT_ALICE_RULES
+            if get_strategy(name).is_applicable(partition)
+            for mode in MODES
+        ]
+    return refutation_records(cases)
 
 
 def conjectures():
@@ -183,6 +204,7 @@ SURFACES = {
     "solve": solve,
     "rules": rules,
     "winvectors": winvectors,
+    "refutation_lines": refutation_lines,
 }
 
 

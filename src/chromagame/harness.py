@@ -348,19 +348,12 @@ def guarantee_suite(max_n: int, mode: str = DETERMINISTIC) -> list[SuiteCase]:
 
 
 @dataclass(frozen=True)
-class ConjectureViolation:
-    partition: Partition
-    budget: int
-    counterexample: GameRecord
-
-
-@dataclass(frozen=True)
 class ConjectureReport:
     max_n: int
     mode: str
     partitions_checked: int
     cases_checked: int
-    violations: tuple[ConjectureViolation, ...]
+    violations: tuple[VerifyResult, ...]  # the failing cases
 
     @property
     def passed(self) -> bool:
@@ -370,7 +363,7 @@ class ConjectureReport:
 def check_b1p_conjecture(max_n: int, mode: str = DETERMINISTIC) -> ConjectureReport:
     """Whenever optimal play wins for Bob (budget below the exact value),
     the singleton-aware echo rule must still win for him."""
-    violations: list[ConjectureViolation] = []
+    violations: list[VerifyResult] = []
     cases = 0
     memo: dict[tuple, bool] = {}
     partitions = all_partitions(max_n)
@@ -380,7 +373,7 @@ def check_b1p_conjecture(max_n: int, mode: str = DETERMINISTIC) -> ConjectureRep
             cases += 1
             result = verify_guarantee(partition, budget, BOB, "b1p", mode)
             if not result.passed:
-                violations.append(ConjectureViolation(partition, budget, result.counterexample))
+                violations.append(result)
     return ConjectureReport(
         max_n=max_n,
         mode=mode,

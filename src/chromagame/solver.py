@@ -222,7 +222,8 @@ class _RestrictedSearch:
     The pinned seat plays its deterministic move (or, in universal mode,
     must succeed with every admissible move); the other seat ranges over
     all legal moves. The value is True iff the pinned seat reaches its goal
-    against every line.
+    against every line: an AND over every allowed move at every position,
+    so the first lost position decides it and only won keys are stored.
     """
 
     def __init__(self, strategy: Strategy, fixed_side: str, mode: str):
@@ -230,7 +231,7 @@ class _RestrictedSearch:
         self.fixed_side = fixed_side
         self.goal_alice = fixed_side == ALICE
         self.universal = mode == UNIVERSAL
-        self.memo: dict[tuple, bool] = {}
+        self.won: set[tuple] = set()
 
     def key(self, state: GameState, aux: Hashable) -> tuple:
         """Memo key: the sorted part codes and the colors left. Part i's code
@@ -290,7 +291,7 @@ class _RestrictedSearch:
         return legal_moves(state)
 
     def _open(self, state: GameState, aux: Hashable) -> bool | tuple:
-        """The position's value if it is settled or memoized, else a stack
+        """The position's value if it is settled or known won, else a stack
         frame: its key, the position and an iterator over its moves.
 
         A position with every part started is settled for Alice: the game
@@ -316,35 +317,60 @@ class _RestrictedSearch:
         if state.budget - state.used < state.colored.count(0):
             return not self.goal_alice
         key = self.key(state, aux)
-        if key in self.memo:
-            return self.memo[key]
+        if key in self.won:
+            return True
         return (key, state, aux, iter(self.moves_for(state, aux)))
+
+    def _first_loss(
+        self, state: GameState, aux: Hashable
+    ) -> Optional[tuple[list[Move], GameState, Hashable]]:
+        """Walk the allowed moves depth first on an explicit stack, storing
+        the keys of achieved positions. None if every position is achieved;
+        else stop at the first lost position and return the moves on the
+        stack, which lead to it, with that position and its bookkeeping."""
+        found, stack = self._open(state, aux), []
+        while found is not False:
+            if found is not True:
+                stack.append(found)
+            while stack:
+                key, state, aux, moves = stack[-1]
+                move = next(moves, None)
+                if move is not None:
+                    break
+                self.won.add(key)
+                stack.pop()
+            else:
+                return None
+            state, aux = apply_move(state, move), self.strategy.advance(aux, state, move)
+            found = self._open(state, aux)
+        states = [frame[1] for frame in stack] + [state]
+        return [s.last_move for s in states[1:]], state, aux
 
     def achieved(self, state: GameState, aux: Hashable) -> bool:
         """True iff every move `moves_for` allows leads to an achieved
-        position, evaluated on an explicit stack: a failing child settles its
-        frame at once, an unsolved child is pushed and solved first."""
-        found = self._open(state, aux)
-        if isinstance(found, bool):
-            return found
-        stack, value = [found], True  # value: of the child looked at last
-        while stack:
-            key, state, aux, moves = stack[-1]
-            move = next(moves, None) if value else None
-            if move is None:
-                self.memo[key] = value
-                stack.pop()
-                continue
-            found = self._open(apply_move(state, move), self.strategy.advance(aux, state, move))
-            if isinstance(found, bool):
-                value = found
-            else:
-                stack.append(found)
-        return value
+        position."""
+        return self._first_loss(state, aux) is None
 
-    def refutation(self, state: GameState, aux: Hashable) -> list[Move]:
-        """First failing line in canonical search order; the returned play
-        is extended to an actual terminal so it replays to a full game."""
+    def refutation(self, state: GameState, aux: Hashable) -> Optional[list[Move]]:
+        """None if `achieved`; otherwise the first failing line in search
+        order (at each position, the first allowed move that is not
+        achieved), played out to a terminal so it replays to a full game.
+
+        The walk gives the line up to the first lost position. From there
+        one rule plays it out: the pinned seat plays its rule's choice (the
+        first admissible move, so the first move `moves_for` allows in
+        either mode) and the other seat its first legal move. Every allowed
+        move from a lost position `_open` settles loses too, so this is
+        still the first failing line:
+
+        - Lost for Alice: fewer colors left than unstarted parts. So has
+          every child, as no move starts a part without spending a color.
+        - Lost for Bob: every part started, and every child keeps them so.
+        """
+        loss = self._first_loss(state, aux)
+        if loss is None:
+            return None
+        line, state, aux = loss
 
         def pick(current: GameState) -> Optional[Move]:
             nonlocal state, aux
@@ -353,20 +379,9 @@ class _RestrictedSearch:
                 state = current
             if status(state) is not GameStatus.ONGOING:
                 return None
-            if fixing_move_played(state):
-                # goal failure settled (Bob's seat); play out to the win.
-                if state.turn == self.fixed_side:
-                    return self.strategy.choose(aux, state)
-                return legal_moves(state)[0]
-            return next(
-                m
-                for m in self.moves_for(state, aux)
-                if not self.achieved(
-                    apply_move(state, m), self.strategy.advance(aux, state, m)
-                )
-            )
+            return self.moves_for(state, aux)[0]
 
-        return [move for _before, move, _after in play(state, pick)]
+        return line + [move for _before, move, _after in play(state, pick)]
 
 
 def _pinned_start(
@@ -413,6 +428,4 @@ def refute_restricted(
     """None when the pinned seat's goal is guaranteed; otherwise the first
     failing line in deterministic search order, played out to a terminal."""
     search, state, aux = _pinned_start(partition, budget, fixed_side, strategy, mode)
-    if search.achieved(state, aux):
-        return None
     return search.refutation(state, aux)

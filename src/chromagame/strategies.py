@@ -268,9 +268,6 @@ class CompositeOpening(Strategy):
     def initial_aux(self, partition):
         return ("open",)
 
-    def _first_triple(self, partition: Partition) -> int:
-        return partition.sizes.index(3)
-
     def advance(self, aux, state, move):
         phase = aux[0]
         sizes = state.partition.sizes
@@ -279,7 +276,7 @@ class CompositeOpening(Strategy):
         if phase == "reply1":
             size = sizes[move.part]
             if size == 1:
-                return ("anchor", self._first_triple(state.partition))
+                return ("anchor", _first_triple(state.partition))
             if size == 3:
                 return ("fill_singleton", move.part)
             return ("join_big",)
@@ -298,7 +295,7 @@ class CompositeOpening(Strategy):
         if phase == "watch":
             if sizes[move.part] == 3:
                 return ("anchor_s", move.part)
-            return ("anchor_s", self._first_triple(state.partition))
+            return ("anchor_s", _first_triple(state.partition))
         return aux
 
     def admissible(self, aux, state):

@@ -5,13 +5,17 @@ tracks an explicit color per labeled vertex, computes legality from raw
 adjacency (two vertices are adjacent iff they sit in different parts), and
 ends the game lazily, exactly by the original rule: play stops when the
 graph is fully colored (Alice wins) or when no uncolored vertex has any
-legal color left (Bob wins). No symmetry reduction, no eager loss
-declaration, no count bookkeeping.
+legal color left (Bob wins). No eager loss declaration, no count
+bookkeeping. Its one reduction is the relabeling of vertices and colors
+that `alice_wins` keys its memo by, argued in `canonical`, and the tests
+check it against the unreduced minimax.
 
 Intended for tests only.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 UNCOLORED = 0
 
@@ -71,16 +75,45 @@ class VertexGame:
             return "bob_won"
         return None
 
-    def alice_wins(self, assignment=None, _memo=None):
+    def canonical(self, assignment):
+        """One representative of the assignments with the same game value:
+        colors relabeled 1, 2, ... part by part, within a part by descending
+        multiplicity, then each part's vertices sorted.
+
+        The value is unchanged by two kinds of relabeling. Vertices of one
+        part have the same neighbors (every vertex of every other part), so
+        permuting them within their part maps legal moves to legal moves.
+        The rules read colors only through equality and the range 1..t, so
+        a permutation of 1..t does the same, and maps full colorings to
+        full colorings. A color used in one part is illegal in every other,
+        so each part holds its own colors, and an assignment is fixed up to
+        these two relabelings by the list of color multiplicities of each
+        part. That list is all this representative depends on, and it is
+        reached from the assignment by the two relabelings.
+        """
+        relabel, parts = {}, []
+        for verts in assignment:
+            counts = Counter(c for c in verts if c != UNCOLORED)
+            for color, _count in counts.most_common():
+                relabel[color] = len(relabel) + 1
+            parts.append(tuple(sorted(relabel.get(c, UNCOLORED) for c in verts)))
+        return tuple(parts)
+
+    def alice_wins(self, assignment=None, _memo=None, reduce=True):
         """Brute-force minimax value: can Alice force a full coloring?
 
         Same rule as `result`, with the memo read first and the legal moves
-        listed once per position.
+        listed once per position. With `reduce`, each position is replaced
+        by its `canonical` form first, so the memo holds one entry per
+        class of equal-valued positions; without it, every labeled position
+        is searched.
         """
         if assignment is None:
             assignment = self.initial()
         if _memo is None:
             _memo = {}
+        if reduce:
+            assignment = self.canonical(assignment)
         if assignment in _memo:
             return _memo[assignment]
         if all(c != UNCOLORED for verts in assignment for c in verts):
@@ -91,9 +124,9 @@ class VertexGame:
             if not moves:
                 value = False
             elif self.mover(assignment) == "alice":
-                value = any(self.alice_wins(ch, _memo) for ch in children)
+                value = any(self.alice_wins(ch, _memo, reduce) for ch in children)
             else:
-                value = all(self.alice_wins(ch, _memo) for ch in children)
+                value = all(self.alice_wins(ch, _memo, reduce) for ch in children)
         _memo[assignment] = value
         return value
 

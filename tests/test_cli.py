@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromagame.cli import MAX_VERTICES, run
+from chromagame.cli import MAX_SOLVE_WORK, MAX_VERTICES, run, solve_work
+from chromagame.core import Partition
+from chromagame.harness import all_partitions
 
 
 def invoke(argv, stdin_text=""):
@@ -394,6 +396,26 @@ class TestVertexCap:
         code, text = invoke(["solve", str(MAX_VERTICES)])
         assert code == 0
         assert text.startswith(f"chi_g(K_{{{MAX_VERTICES}}}) = 1\n")
+
+
+class TestSolveWorkGuard:
+    def test_staircase_is_refused_at_once(self, capsys):
+        text = ",".join(str(r) for r in range(15, 0, -1))  # n = 120
+        start = time.perf_counter()
+        assert invoke(["solve", text]) == (2, "")
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: '{text}' is too large to solve: ")
+        assert err.endswith(f"is 58982400; at most {MAX_SOLVE_WORK} is accepted\n")
+
+    def test_every_shape_the_suite_solves_is_admitted(self):
+        """Every shape of `scan --max-n 22`, the non-optimality shapes the
+        suite solves (up to k = 10) and the deep and capped shapes."""
+        shapes = all_partitions(22) + [
+            Partition((4,) + (3,) * (k - 3) + (1, 1)) for k in range(6, 11)
+        ]
+        shapes += [Partition((600, 600)), Partition((600, 600, 1)), Partition((MAX_VERTICES,))]
+        assert max(solve_work(p) for p in shapes) <= MAX_SOLVE_WORK
 
 
 class TestClosedStdout:

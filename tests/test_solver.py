@@ -9,7 +9,7 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from chromagame import strategies
+from chromagame import solver, strategies
 from chromagame.core import (
     ALICE,
     BOB,
@@ -23,7 +23,7 @@ from chromagame.core import (
     legal_moves,
     status,
 )
-from chromagame.harness import all_partitions, record_playout
+from chromagame.harness import NONOPT_ALICE_RULES, all_partitions, record_playout
 from chromagame.solver import (
     DETERMINISTIC,
     UNIVERSAL,
@@ -229,12 +229,34 @@ def test_pinned_search_values_acomposite(budget):
         assert_pinned_search_exact(partition, "acomposite", mode, budget)
 
 
+def count_search_moves(monkeypatch):
+    """Count the solver's `apply_move` calls. Returns `run(search, *args)`,
+    which gives the search's result and the moves it applied."""
+    calls = 0
+
+    def counted(state, move):
+        nonlocal calls
+        calls += 1
+        return apply_move(state, move)
+
+    def run(search, *args):
+        nonlocal calls
+        calls = 0
+        return search(*args), calls
+
+    monkeypatch.setattr(solver, "apply_move", counted)
+    return run
+
+
 @pytest.mark.parametrize("sizes", [tuple(p.sizes) for p in all_partitions(7)])
-def test_refutations_replay_to_the_pinned_seat_loss(sizes):
+def test_refutations_replay_to_the_pinned_seat_loss(sizes, monkeypatch):
     """Every line `refute_restricted` returns is a game the pinned rule can
     play (its own move, or in universal mode an admissible one, at each of
     its turns) that replays through `record_playout` to the pinned seat's
-    loss; `restricted_value` is False exactly when there is such a line."""
+    loss; `restricted_value` is False exactly when there is such a line.
+    A refutation costs one walk: `refute_restricted` applies exactly as
+    many moves in the search as `restricted_value`."""
+    run = count_search_moves(monkeypatch)
     partition = Partition(sizes)
     for name in RULES:
         strategy = get_strategy(name)
@@ -244,9 +266,11 @@ def test_refutations_replay_to_the_pinned_seat_loss(sizes):
         loss = GameStatus.BOB_WON if side == ALICE else GameStatus.ALICE_WON
         for mode in (DETERMINISTIC, UNIVERSAL):
             for budget in range(1, partition.n + 1):
+                case = (partition, budget, side, name, mode)
                 where = (name, mode, budget)
-                line = refute_restricted(partition, budget, side, name, mode)
-                assert restricted_value(partition, budget, side, name, mode) == (line is None), where
+                line, refuted = run(refute_restricted, *case)
+                value, valued = run(restricted_value, *case)
+                assert (value, refuted) == (line is None, valued), where
                 if line is None:
                     continue
                 state, aux = initial_state(partition, budget), strategy.initial_aux(partition)
@@ -260,6 +284,24 @@ def test_refutations_replay_to_the_pinned_seat_loss(sizes):
                     state = apply_move(state, move)
                 record = record_playout(partition, budget, line, ALICE, BOB)
                 assert record.outcome == loss.value, where
+
+
+@pytest.mark.parametrize("k", [6, 7, 8])
+def test_nonoptimality_refutations_walk_once(k, monkeypatch):
+    """Each simple Alice rule loses K_{4,3^(k-3),1,1} with 2k - 4 colors.
+    Its refutation costs the search exactly the moves `restricted_value`
+    applies and replays through `record_playout` to Bob's win."""
+    run = count_search_moves(monkeypatch)
+    partition = Partition((4,) + (3,) * (k - 3) + (1, 1))
+    budget = 2 * k - 4
+    for name in NONOPT_ALICE_RULES:
+        if not get_strategy(name).is_applicable(partition):
+            continue
+        line, refuted = run(refute_restricted, partition, budget, ALICE, name)
+        value, valued = run(restricted_value, partition, budget, ALICE, name)
+        assert line is not None and not value and refuted == valued, (name, refuted, valued)
+        record = record_playout(partition, budget, line, ALICE, BOB)
+        assert record.outcome == GameStatus.BOB_WON.value, name
 
 
 @pytest.mark.parametrize(
@@ -297,6 +339,14 @@ def test_solver_matches_vertex_oracle_exhaustively(sizes):
     for budget in range(1, partition.n + 1):
         expected = VertexGame(partition.sizes, budget).alice_wins()
         assert alice_wins(partition, budget) == expected, (sizes, budget)
+
+
+@pytest.mark.parametrize("sizes", [tuple(p.sizes) for p in all_partitions(6)])
+def test_oracle_reduction_keeps_the_minimax_value(sizes):
+    """The oracle's `canonical` reduction against its unreduced minimax."""
+    for budget in range(1, sum(sizes) + 1):
+        game = VertexGame(sizes, budget)
+        assert game.alice_wins(reduce=False) == game.alice_wins(), (sizes, budget)
 
 
 @pytest.mark.parametrize("sizes", [(4, 3), (5, 2), (3, 2, 2), (2, 2, 2, 1), (7,), (4, 2, 1)])
