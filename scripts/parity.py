@@ -141,8 +141,9 @@ def rules():
     """Each analyzed rule on every applicable shape with n <= 7, and
     acomposite on K_{4,3,3,3,1,1}, at every budget: every position reachable
     when the rule's seat plays any admissible move and the other seat any
-    legal move. At each position of the rule's seat, the record holds the
-    rule's admissible moves, its choice and its anchor part."""
+    legal move. A position is a (state, rule value) pair. At each position
+    of the rule's seat, the record holds the rule's phase (acomposite's,
+    else None), its admissible moves, its choice and its anchor part."""
     cases = [
         (partition, budget, name)
         for partition, budget in shape_budgets(7)
@@ -152,24 +153,24 @@ def rules():
     composite = Partition((4, 3, 3, 3, 1, 1))
     cases += [(composite, budget, "acomposite") for budget in range(1, composite.n + 1)]
     for partition, budget, name in cases:
-        rule = get_strategy(name)
-        start = (initial_state(partition, budget), rule.initial_aux(partition))
+        start = (initial_state(partition, budget), get_strategy(name))
         seen, stack = {start}, [start]
         while stack:
-            state, aux = stack.pop()
+            state, rule = stack.pop()
             if status(state) is not GameStatus.ONGOING:
                 continue
             if state.turn == rule.side:
-                moves = rule.admissible(aux, state)
+                moves = rule.admissible(state)
                 yield json.dumps(
                     [str(partition), budget, name, state.colored, state.used, state.last_move,
-                     aux, moves, moves and rule.choose(aux, state),
-                     rule.anchor_part(aux, state)]
+                     getattr(rule, "phase", None), moves, moves and rule.choose(state),
+                     rule.anchor_part(state)]
                 )
             else:
                 moves = legal_moves(state)
             for move in moves:
-                child = (apply_move(state, move), rule.advance(aux, state, move))
+                after = apply_move(state, move)
+                child = (after, rule.advance(after))
                 if child not in seen:
                     seen.add(child)
                     stack.append(child)

@@ -360,6 +360,9 @@ def cmd_conjecture_b1p(args, out, inp) -> int:
 
 
 def cmd_conjecture_nonopt(args, out, inp) -> int:
+    n = 3 * args.k - 3  # K_{4,3^(k-3),1,1}, checked before it is built
+    if n > MAX_VERTICES:
+        raise UsageError(f"--k {args.k} gives {n} vertices; at most {MAX_VERTICES} are accepted")
     try:
         report = check_nonoptimality_theorem(args.k)
     except ValueError as exc:

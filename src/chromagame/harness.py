@@ -148,23 +148,19 @@ def record_playout(
 def seat_picker(
     partition: Partition, alice: Strategy, bob: Strategy
 ) -> Callable[[GameState], Optional[Move]]:
-    """A `pick` for `core.play` in which each rule moves on its own turn.
-    Both rules' bookkeeping advances on every move, whoever made it."""
+    """A `pick` for `core.play` from the empty board in which each rule
+    moves on its own turn. Both rules advance on every move, whoever made it."""
     seats = {ALICE: alice, BOB: bob}
     for seat, strat in seats.items():
         check_seat(strat, partition, seat)
-    aux = {seat: strat.initial_aux(partition) for seat, strat in seats.items()}
-    previous: Optional[GameState] = None
 
     def pick(state: GameState) -> Optional[Move]:
-        nonlocal previous
-        if previous is not None:
-            for seat, strat in seats.items():
-                aux[seat] = strat.advance(aux[seat], previous, state.last_move)
-        previous = state
+        if state.last_move is not None:
+            for seat, rule in seats.items():
+                seats[seat] = rule.advance(state)
         if status(state) is not GameStatus.ONGOING:
             return None
-        return seats[state.turn].choose(aux[state.turn], state)
+        return seats[state.turn].choose(state)
 
     return pick
 
@@ -390,13 +386,20 @@ NONOPT_ALICE_RULES = ("a1", "a1p", "a2", "a2p", "a3", "a3p")
 class NonOptimalityReport:
     """Outcome of the composite-vs-simple-rules check on K_{4,3,...,3,1,1}."""
 
-    k: int
     partition: Partition
     budget: int  # 2k - 4
     solver_upper_ok: bool  # Alice wins outright at this budget
     composite_ok: bool  # the scripted opening also wins at this budget
-    failing_rules: tuple[str, ...]  # simple rules that lose here (all should)
     rule_results: dict[str, bool]
+
+    @property
+    def k(self) -> int:
+        return self.partition.k
+
+    @property
+    def failing_rules(self) -> tuple[str, ...]:
+        """The simple rules that lose here (all should)."""
+        return tuple(rule for rule, won in self.rule_results.items() if not won)
 
     @property
     def passed(self) -> bool:
@@ -425,13 +428,10 @@ def check_nonoptimality_theorem(k: int) -> NonOptimalityReport:
             rule_results[rule] = False
         else:
             rule_results[rule] = restricted_value(partition, budget, ALICE, rule)
-    failing = tuple(rule for rule, won in rule_results.items() if not won)
     return NonOptimalityReport(
-        k=k,
         partition=partition,
         budget=budget,
         solver_upper_ok=solver_upper_ok,
         composite_ok=composite_ok,
-        failing_rules=failing,
         rule_results=rule_results,
     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import Optional
 
 from .core import (
     ALICE,
@@ -226,14 +226,13 @@ class _RestrictedSearch:
     so the first lost position decides it and only won keys are stored.
     """
 
-    def __init__(self, strategy: Strategy, fixed_side: str, mode: str):
-        self.strategy = strategy
+    def __init__(self, fixed_side: str, mode: str):
         self.fixed_side = fixed_side
         self.goal_alice = fixed_side == ALICE
         self.universal = mode == UNIVERSAL
         self.won: set[tuple] = set()
 
-    def key(self, state: GameState, aux: Hashable) -> tuple:
+    def key(self, state: GameState, rule: Strategy) -> tuple:
         """Memo key: the sorted part codes and the colors left. Part i's code
         is `4 * (size * (r_1 + 1) + colored) + 2 * (moved last) + (is
         anchor)`, the anchor being the rule's `anchor_part`. One search has
@@ -261,9 +260,8 @@ class _RestrictedSearch:
           and otherwise starts an odd part chosen by size, so its moves, and
           its value, depend only on the pooled key of `canonicalize`, which
           both picks leave equal.
-        - The rule's bookkeeping `aux` is left out. Only acomposite keeps
-          any beyond its anchor, and its positions with one key share it
-          where it matters:
+        - The rule's phase is left out. Only acomposite has one beyond its
+          anchor, and its positions with one key share it where it matters:
           1. `anchor` and `anchor_s` differ only by a2p's singleton clause.
              `anchor` is entered after both singletons are colored, so any
              key it shares with an `anchor_s` position has no uncolored
@@ -278,21 +276,21 @@ class _RestrictedSearch:
         codes = [4 * (size * base + colored) for size, colored in zip(sizes, state.colored)]
         if state.last_move is not None:
             codes[state.last_move.part] += 2
-        anchor = self.strategy.anchor_part(aux, state)
+        anchor = rule.anchor_part(state)
         if anchor is not None:
             codes[anchor] += 1
         return (tuple(sorted(codes)), state.budget - state.used)
 
-    def moves_for(self, state: GameState, aux: Hashable) -> list[Move]:
+    def moves_for(self, state: GameState, rule: Strategy) -> list[Move]:
         if state.turn == self.fixed_side:
             if self.universal:
-                return self.strategy.admissible(aux, state)
-            return [self.strategy.choose(aux, state)]
+                return rule.admissible(state)
+            return [rule.choose(state)]
         return legal_moves(state)
 
-    def _open(self, state: GameState, aux: Hashable) -> bool | tuple:
+    def _open(self, state: GameState, rule: Strategy) -> bool | tuple:
         """The position's value if it is settled or known won, else a stack
-        frame: its key, the position and an iterator over its moves.
+        frame: its key, the position, the rule and an iterator over its moves.
 
         A position with every part started is settled for Alice: the game
         can only end fully colored (see `fixing_move_played`).
@@ -316,24 +314,24 @@ class _RestrictedSearch:
             return self.goal_alice
         if state.budget - state.used < state.colored.count(0):
             return not self.goal_alice
-        key = self.key(state, aux)
+        key = self.key(state, rule)
         if key in self.won:
             return True
-        return (key, state, aux, iter(self.moves_for(state, aux)))
+        return (key, state, rule, iter(self.moves_for(state, rule)))
 
     def _first_loss(
-        self, state: GameState, aux: Hashable
-    ) -> Optional[tuple[list[Move], GameState, Hashable]]:
+        self, state: GameState, rule: Strategy
+    ) -> Optional[tuple[list[Move], GameState, Strategy]]:
         """Walk the allowed moves depth first on an explicit stack, storing
         the keys of achieved positions. None if every position is achieved;
         else stop at the first lost position and return the moves on the
-        stack, which lead to it, with that position and its bookkeeping."""
-        found, stack = self._open(state, aux), []
+        stack, which lead to it, with that position and the rule at it."""
+        found, stack = self._open(state, rule), []
         while found is not False:
             if found is not True:
                 stack.append(found)
             while stack:
-                key, state, aux, moves = stack[-1]
+                key, state, rule, moves = stack[-1]
                 move = next(moves, None)
                 if move is not None:
                     break
@@ -341,17 +339,18 @@ class _RestrictedSearch:
                 stack.pop()
             else:
                 return None
-            state, aux = apply_move(state, move), self.strategy.advance(aux, state, move)
-            found = self._open(state, aux)
+            state = apply_move(state, move)
+            rule = rule.advance(state)
+            found = self._open(state, rule)
         states = [frame[1] for frame in stack] + [state]
-        return [s.last_move for s in states[1:]], state, aux
+        return [s.last_move for s in states[1:]], state, rule
 
-    def achieved(self, state: GameState, aux: Hashable) -> bool:
+    def achieved(self, state: GameState, rule: Strategy) -> bool:
         """True iff every move `moves_for` allows leads to an achieved
-        position."""
-        return self._first_loss(state, aux) is None
+        position; `rule` is the pinned rule as it stands at `state`."""
+        return self._first_loss(state, rule) is None
 
-    def refutation(self, state: GameState, aux: Hashable) -> Optional[list[Move]]:
+    def refutation(self, state: GameState, rule: Strategy) -> Optional[list[Move]]:
         """None if `achieved`; otherwise the first failing line in search
         order (at each position, the first allowed move that is not
         achieved), played out to a terminal so it replays to a full game.
@@ -367,19 +366,18 @@ class _RestrictedSearch:
           every child, as no move starts a part without spending a color.
         - Lost for Bob: every part started, and every child keeps them so.
         """
-        loss = self._first_loss(state, aux)
+        loss = self._first_loss(state, rule)
         if loss is None:
             return None
-        line, state, aux = loss
+        line, state, rule = loss
 
         def pick(current: GameState) -> Optional[Move]:
-            nonlocal state, aux
+            nonlocal rule
             if current is not state:
-                aux = self.strategy.advance(aux, state, current.last_move)
-                state = current
-            if status(state) is not GameStatus.ONGOING:
+                rule = rule.advance(current)
+            if status(current) is not GameStatus.ONGOING:
                 return None
-            return self.moves_for(state, aux)[0]
+            return self.moves_for(current, rule)[0]
 
         return line + [move for _before, move, _after in play(state, pick)]
 
@@ -390,9 +388,9 @@ def _pinned_start(
     fixed_side: str,
     strategy: Strategy | str,
     mode: str,
-) -> tuple[_RestrictedSearch, GameState, Hashable]:
+) -> tuple[_RestrictedSearch, GameState, Strategy]:
     """Check the arguments of a pinned search; return the search, the empty
-    board and the rule's initial bookkeeping."""
+    board and the rule."""
     strategy = as_strategy(strategy)
     if fixed_side not in (ALICE, BOB):
         raise ValueError(f"fixed_side must be {ALICE!r} or {BOB!r}")
@@ -401,8 +399,7 @@ def _pinned_start(
     check_seat(strategy, partition, fixed_side)
     if strategy.side is None:  # random, human: they pick by part order, which keys drop
         raise InapplicableStrategyError(f"{strategy.id} is not an analyzed rule")
-    search = _RestrictedSearch(strategy, fixed_side, mode)
-    return search, initial_state(partition, budget), strategy.initial_aux(partition)
+    return _RestrictedSearch(fixed_side, mode), initial_state(partition, budget), strategy
 
 
 def restricted_value(
@@ -414,8 +411,8 @@ def restricted_value(
 ) -> bool:
     """Does `fixed_side`, pinned to `strategy`, reach its goal against every
     opponent line? (Alice's goal: full coloring; Bob's: a stuck part.)"""
-    search, state, aux = _pinned_start(partition, budget, fixed_side, strategy, mode)
-    return search.achieved(state, aux)
+    search, state, rule = _pinned_start(partition, budget, fixed_side, strategy, mode)
+    return search.achieved(state, rule)
 
 
 def refute_restricted(
@@ -427,5 +424,5 @@ def refute_restricted(
 ) -> Optional[list[Move]]:
     """None when the pinned seat's goal is guaranteed; otherwise the first
     failing line in deterministic search order, played out to a terminal."""
-    search, state, aux = _pinned_start(partition, budget, fixed_side, strategy, mode)
-    return search.refutation(state, aux)
+    search, state, rule = _pinned_start(partition, budget, fixed_side, strategy, mode)
+    return search.refutation(state, rule)

@@ -6,11 +6,12 @@ function that returns the moves it allows, or an empty list when it does
 not match. Each analyzed rule apart from `acomposite` is a `Rule` value (an
 id, a side, a tuple of clauses, a shape test and an optional anchor) in one
 table, so rules share clauses instead of copying them and a new chain is
-one row, not a class. `admissible_moves` returns
-every move the matched clause allows (the universal reading of each "pick
-any part" freedom), while `choose_move` applies the deterministic
-tie-breaks: lowest part index first, and the smallest already-present color
-when a concrete reused color is needed for a transcript.
+one row, not a class. `acomposite` is a `CompositeOpening` value whose
+phase `advance` moves on. `admissible_moves` returns every move the
+matched clause allows (the universal reading of each "pick any part"
+freedom), while `choose_move` applies the deterministic tie-breaks: lowest
+part index first, and the smallest already-present color when a concrete
+reused color is needed for a transcript.
 
 Alice's rules:
   a1   start unstarted parts with new colors, otherwise reuse anywhere.
@@ -39,9 +40,10 @@ harness plumbing, not analyzed rules.
 
 from __future__ import annotations
 
+import contextlib
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Optional
+from typing import Callable, Optional
 
 from .core import (
     ALICE,
@@ -66,7 +68,8 @@ class StrategyTotalityError(RuntimeError):
 
 
 class Strategy:
-    """Base class: a deterministic move rule plus its admissible-move sets."""
+    """Base class: a deterministic move rule plus its admissible-move sets.
+    A rule is a value; `advance` gives the value it takes after each move."""
 
     id: str = ""
     side: Optional[str] = None  # ALICE, BOB, or None when either seat works
@@ -74,24 +77,21 @@ class Strategy:
     def is_applicable(self, partition: Partition) -> bool:
         return True
 
-    def initial_aux(self, partition: Partition) -> Hashable:
-        """Per-game bookkeeping carried alongside the state (hashable)."""
-        return None
+    def advance(self, state: GameState) -> "Strategy":
+        """The rule as it stands at `state`, after `state.last_move` by
+        either player. Rules that read only the position return themselves."""
+        return self
 
-    def advance(self, aux: Hashable, state: GameState, move: Move) -> Hashable:
-        """Update bookkeeping for a move by either player from `state`."""
-        return aux
-
-    def admissible(self, aux: Hashable, state: GameState) -> list[Move]:
+    def admissible(self, state: GameState) -> list[Move]:
         raise NotImplementedError
 
-    def choose(self, aux: Hashable, state: GameState) -> Move:
-        moves = self.admissible(aux, state)
+    def choose(self, state: GameState) -> Move:
+        moves = self.admissible(state)
         if not moves:
             raise StrategyTotalityError(f"{self.id}: no clause matched")
         return moves[0]
 
-    def anchor_part(self, aux: Hashable, state: GameState) -> Optional[int]:
+    def anchor_part(self, state: GameState) -> Optional[int]:
         """The part the rule names by index (an anchor), which solver memo
         keys must keep apart from its equal-size peers; None if there is none."""
         return None
@@ -218,17 +218,18 @@ class Rule(Strategy):
     def is_applicable(self, partition):
         return self.applies(partition)
 
-    def admissible(self, aux, state):
+    def admissible(self, state):
         for clause in self.clauses:
             moves = clause(state)
             if moves:
                 return moves
         return []
 
-    def anchor_part(self, aux, state):
+    def anchor_part(self, state):
         return None if self.anchor is None else self.anchor(state.partition)
 
 
+@dataclass(frozen=True, repr=False)
 class CompositeOpening(Strategy):
     """acomposite: scripted opening for K_{4,3,...,3,1,1} with k >= 6.
 
@@ -243,7 +244,7 @@ class CompositeOpening(Strategy):
     id = "acomposite"
     side = ALICE
 
-    # aux is a tuple whose head names the phase:
+    # The phase is a tuple whose head names it:
     #   ("open",)                 Alice's scripted first move
     #   ("reply1",)               waiting for the opponent's first reply
     #   ("fill_singleton", vj)    claim the second singleton, then anchor vj
@@ -254,6 +255,7 @@ class CompositeOpening(Strategy):
     #   ("anchor", vj)            delegated a2
     #   ("anchor_s", vj)          delegated a2p
     #   ("solo",)                 delegated a1p
+    phase: tuple = ("open",)
 
     def is_applicable(self, partition):
         sizes = partition.sizes
@@ -265,57 +267,50 @@ class CompositeOpening(Strategy):
             and all(r == 3 for r in sizes[1 : k - 2])
         )
 
-    def initial_aux(self, partition):
-        return ("open",)
-
-    def advance(self, aux, state, move):
-        phase = aux[0]
-        sizes = state.partition.sizes
+    def advance(self, state):
+        phase, part = self.phase[0], state.last_move.part
+        size = state.partition.sizes[part]
         if phase == "open":
-            return ("reply1",)
+            return CompositeOpening(("reply1",))
         if phase == "reply1":
-            size = sizes[move.part]
             if size == 1:
-                return ("anchor", _first_triple(state.partition))
+                return CompositeOpening(("anchor", _first_triple(state.partition)))
             if size == 3:
-                return ("fill_singleton", move.part)
-            return ("join_big",)
+                return CompositeOpening(("fill_singleton", part))
+            return CompositeOpening(("join_big",))
         if phase == "fill_singleton":
             # The opponent's opening move into the triple stands in for our
             # own anchor-opening move.
-            return ("anchor", aux[1])
+            return CompositeOpening(("anchor", self.phase[1]))
         if phase == "join_big":
-            return ("reply2",)
+            return CompositeOpening(("reply2",))
         if phase == "reply2":
-            if move.part == 0:
-                return ("close_big",)
-            return ("solo",)
+            return CompositeOpening(("close_big",) if part == 0 else ("solo",))
         if phase == "close_big":
-            return ("watch",)
+            return CompositeOpening(("watch",))
         if phase == "watch":
-            if sizes[move.part] == 3:
-                return ("anchor_s", move.part)
-            return ("anchor_s", _first_triple(state.partition))
-        return aux
+            anchor = part if size == 3 else _first_triple(state.partition)
+            return CompositeOpening(("anchor_s", anchor))
+        return self
 
-    def admissible(self, aux, state):
-        phase = aux[0]
+    def admissible(self, state):
+        phase = self.phase[0]
         if phase in ("open", "fill_singleton"):
             return _singletons(state)
         if phase in ("join_big", "close_big"):
             return [Move(0, False)]
         if phase == "anchor":
-            return _anchor(state, aux[1]) or _start_or_fill(state)
+            return _anchor(state, self.phase[1]) or _start_or_fill(state)
         if phase == "anchor_s":
-            return _anchor(state, aux[1]) or _singletons(state) or _start_or_fill(state)
+            return _anchor(state, self.phase[1]) or _singletons(state) or _start_or_fill(state)
         if phase == "solo":
             return _singletons(state) or _start_or_fill(state)
         # reply1/reply2/watch are opponent-turn phases
         return []
 
-    def anchor_part(self, aux, state):
-        if aux[0] in ("anchor", "anchor_s", "fill_singleton"):
-            return aux[1]
+    def anchor_part(self, state):
+        if self.phase[0] in ("anchor", "anchor_s", "fill_singleton"):
+            return self.phase[1]
         return None
 
 
@@ -331,10 +326,10 @@ class RandomMover(Strategy):
     def with_seed(self, seed: int) -> "RandomMover":
         return RandomMover(self.seed if self.seed is not None else seed)
 
-    def admissible(self, aux, state):
+    def admissible(self, state):
         return legal_moves(state)
 
-    def choose(self, aux, state):
+    def choose(self, state):
         seed = self.seed if self.seed is not None else 0
         rng = random.Random(seed * 1_000_003 + sum(state.colored))
         return rng.choice(legal_moves(state))
@@ -349,10 +344,10 @@ class HumanPlayer(Strategy):
     def __init__(self, picker: Optional[Callable[[GameState, list[Move]], Move]] = None):
         self.picker = picker
 
-    def admissible(self, aux, state):
+    def admissible(self, state):
         return legal_moves(state)
 
-    def choose(self, aux, state):
+    def choose(self, state):
         if self.picker is None:
             raise InapplicableStrategyError("human seat needs an interactive session")
         return self.picker(state, legal_moves(state))
@@ -397,10 +392,12 @@ def get_strategy(name: str) -> Strategy:
     if key == "random":
         return RandomMover()
     if key.startswith("random:"):
-        try:
-            return RandomMover(int(key.split(":", 1)[1]))
-        except ValueError:
-            raise ValueError(f"bad random seed in {name!r}") from None
+        seed = key[len("random:") :]  # a minus at most, then ASCII digits only
+        digits = seed.removeprefix("-")
+        if digits.isascii() and digits.isdecimal():
+            with contextlib.suppress(ValueError):  # more digits than int() converts
+                return RandomMover(int(seed))
+        raise ValueError(f"bad random seed in {name!r}")
     if key == "human":
         return HumanPlayer()
     raise ValueError(f"unknown strategy {name!r}; expected one of {', '.join(STRATEGY_NAMES)}")
@@ -435,17 +432,17 @@ def _check_turn(strategy: Strategy, state: GameState) -> None:
         raise ValueError("game is over")
 
 
-def choose_move(strategy: Strategy, state: GameState, aux: Hashable) -> Move:
-    """The rule's deterministic move for this position, given the rule's
-    bookkeeping `aux` (from `initial_aux` and `advance`)."""
+def choose_move(strategy: Strategy, state: GameState) -> Move:
+    """The rule's deterministic move for this position; `strategy` is the
+    rule as it stands at `state` (see `Strategy.advance`)."""
     _check_turn(strategy, state)
-    return strategy.choose(aux, state)
+    return strategy.choose(state)
 
 
-def admissible_moves(strategy: Strategy, state: GameState, aux: Hashable) -> list[Move]:
+def admissible_moves(strategy: Strategy, state: GameState) -> list[Move]:
     """Every move the first matching clause allows; contains choose_move's pick."""
     _check_turn(strategy, state)
-    moves = strategy.admissible(aux, state)
+    moves = strategy.admissible(state)
     if not moves:
         raise StrategyTotalityError(f"{strategy.id}: no clause matched")
     return moves

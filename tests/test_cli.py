@@ -367,6 +367,12 @@ class TestUsageErrors:
             ["solve", "\u0663"],  # an Arabic-Indic three, which int() reads as 3
             ["solve", "+3"],
             ["solve", "9" * 5000],  # more digits than int() converts
+            # random seeds follow the same digits-only rule
+            ["simulate", "3,3", "--colors", "3", "--alice", "random:\u0663", "--bob", "b1"],
+            ["simulate", "3,3", "--colors", "3", "--alice", "random:+5", "--bob", "b1"],
+            ["simulate", "3,3", "--colors", "3", "--alice", "random:3_0", "--bob", "b1"],
+            ["simulate", "3,3", "--colors", "3", "--alice", "random: 5", "--bob", "b1"],
+            ["simulate", "3,3", "--colors", "3", "--alice", "random:" + "9" * 5000, "--bob", "b1"],
         ],
     )
     def test_exit_code_two(self, argv, capsys):
@@ -390,6 +396,14 @@ class TestVertexCap:
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err == (
             f"error: '99999999999' has 99999999999 vertices; at most {MAX_VERTICES} are accepted\n"
+        )
+
+    def test_huge_nonopt_k_is_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        assert invoke(["conjecture", "nonopt", "--k", "1000000000"]) == (2, "")
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"error: --k 1000000000 gives 2999999997 vertices; at most {MAX_VERTICES} are accepted\n"
         )
 
     def test_partition_at_the_cap_is_solved(self):

@@ -32,7 +32,8 @@ from chromagame.harness import (
     simulate,
     verify_guarantee,
 )
-from chromagame.strategies import InapplicableStrategyError
+from chromagame.solver import refute_restricted
+from chromagame.strategies import CompositeOpening, InapplicableStrategyError, get_strategy
 
 
 def replay(record: GameRecord):
@@ -97,6 +98,20 @@ class TestSimulate:
     def test_inapplicable_strategy_rejected(self):
         with pytest.raises(InapplicableStrategyError):
             simulate(Partition.of([5, 5, 1]), 4, "a2", "b1")
+
+    def test_rule_values_do_not_leak_between_games(self):
+        """acomposite's phase lives in the values `advance` returns, never in
+        the registry's value, so games and searches in a row agree."""
+        partition = Partition((4, 3, 3, 3, 1, 1))
+        first = simulate(partition, 8, "acomposite", "b1")
+        assert simulate(partition, 8, "acomposite", "b1") == first
+        case = (partition, 7, ALICE, "acomposite")
+        line = refute_restricted(*case)
+        assert line is not None and refute_restricted(*case) == line
+        assert get_strategy("acomposite").phase == ("open",)
+        assert CompositeOpening(("anchor", 1)) == CompositeOpening(("anchor", 1))
+        assert hash(CompositeOpening(("anchor", 1))) == hash(CompositeOpening(("anchor", 1)))
+        assert CompositeOpening(("anchor", 1)) != CompositeOpening(("anchor_s", 1))
 
     def test_wrong_seat_rejected(self):
         with pytest.raises(InapplicableStrategyError):
@@ -229,6 +244,7 @@ class TestConjectures:
     def test_nonoptimality_theorem_k6(self):
         report = check_nonoptimality_theorem(6)
         assert report.partition.sizes == (4, 3, 3, 3, 1, 1)
+        assert report.k == 6
         assert report.budget == 8
         assert report.solver_upper_ok
         assert report.composite_ok

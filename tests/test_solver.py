@@ -149,10 +149,10 @@ def test_settled_budgets_match_the_search():
 RULES = ("a1", "a1p", "a2", "a2p", "a3", "a3p", "acomposite", "b1", "b1p")
 
 
-def multiset_key(strategy, state, aux):
+def multiset_key(rule, state):
     """The pinned-search key spelled out: the parts as sorted `(size,
     colored, is anchor, moved last)` tuples and the colors left."""
-    anchor = strategy.anchor_part(aux, state)
+    anchor = rule.anchor_part(state)
     last = None if state.last_move is None else state.last_move.part
     parts = sorted(
         (size, colored, i == anchor, i == last)
@@ -164,20 +164,20 @@ def multiset_key(strategy, state, aux):
 def assert_pinned_search_exact(partition, name, mode, budget):
     """At every position the pinned game reaches, the pinned search's value
     equals a plain minimax keyed on the full (colored, used, turn, last move,
-    aux), with no early leaves: no memo key merges positions of unequal value.
+    rule value), with no early leaves: no memo key merges positions of unequal value.
     The search's small-int key also splits these positions exactly as
     `multiset_key` does: two positions share one iff they share the other."""
     strategy = get_strategy(name)
-    search = _RestrictedSearch(strategy, strategy.side, mode)
+    search = _RestrictedSearch(strategy.side, mode)
     plain: dict = {}
     small_to_multiset: dict = {}
     multiset_to_small: dict = {}
 
-    def value(state, aux):
-        key = (state.colored, state.used, state.turn, state.last_move, aux)
+    def value(state, rule):
+        key = (state.colored, state.used, state.turn, state.last_move, rule)
         if key not in plain:
             where = (name, mode, budget, state)
-            small, multiset = search.key(state, aux), multiset_key(strategy, state, aux)
+            small, multiset = search.key(state, rule), multiset_key(rule, state)
             assert small_to_multiset.setdefault(small, multiset) == multiset, where
             assert multiset_to_small.setdefault(multiset, small) == small, where
             st = status(state)
@@ -187,17 +187,15 @@ def assert_pinned_search_exact(partition, name, mode, budget):
                 if state.turn != strategy.side:
                     moves = legal_moves(state)
                 elif mode == UNIVERSAL:
-                    moves = strategy.admissible(aux, state)
+                    moves = rule.admissible(state)
                 else:
-                    moves = [strategy.choose(aux, state)]
-                children = [
-                    value(apply_move(state, m), strategy.advance(aux, state, m)) for m in moves
-                ]
-                plain[key] = all(children)
-            assert search.achieved(state, aux) == plain[key], where
+                    moves = [rule.choose(state)]
+                children = [apply_move(state, m) for m in moves]
+                plain[key] = all([value(child, rule.advance(child)) for child in children])
+            assert search.achieved(state, rule) == plain[key], where
         return plain[key]
 
-    value(initial_state(partition, budget), strategy.initial_aux(partition))
+    value(initial_state(partition, budget), strategy)
 
 
 # K_{3,3,1,1} is the smallest shape on which a key without the anchor flag
@@ -273,15 +271,15 @@ def test_refutations_replay_to_the_pinned_seat_loss(sizes, monkeypatch):
                 assert (value, refuted) == (line is None, valued), where
                 if line is None:
                     continue
-                state, aux = initial_state(partition, budget), strategy.initial_aux(partition)
+                state, rule = initial_state(partition, budget), strategy
                 for move in line:
                     if state.turn == side:
-                        allowed = strategy.admissible(aux, state) if mode == UNIVERSAL else [
-                            strategy.choose(aux, state)
+                        allowed = rule.admissible(state) if mode == UNIVERSAL else [
+                            rule.choose(state)
                         ]
                         assert move in allowed, (where, state, move)
-                    aux = strategy.advance(aux, state, move)
                     state = apply_move(state, move)
+                    rule = rule.advance(state)
                 record = record_playout(partition, budget, line, ALICE, BOB)
                 assert record.outcome == loss.value, where
 
@@ -314,21 +312,19 @@ def test_acomposite_bookkeeping_follows_the_board(k, mode):
     `anchor` is entered only once both singletons are colored."""
     partition = Partition((4,) + (3,) * (k - 3) + (1, 1))
     strategy = get_strategy("acomposite")
-    search = _RestrictedSearch(strategy, ALICE, mode)
+    search = _RestrictedSearch(ALICE, mode)
     seen = set()
-    stack = [(initial_state(partition, 2 * k - 4), strategy.initial_aux(partition))]
+    stack = [(initial_state(partition, 2 * k - 4), strategy)]
     while stack:
-        state, aux = stack.pop()
+        state, rule = stack.pop()
         over = status(state) is not GameStatus.ONGOING or fixing_move_played(state)
-        if over or (state, aux) in seen:
+        if over or (state, rule) in seen:
             continue
-        seen.add((state, aux))
-        if aux[0] == "anchor":
-            assert state.colored[-2:] == (1, 1), (state, aux)
-        stack.extend(
-            (apply_move(state, m), strategy.advance(aux, state, m))
-            for m in search.moves_for(state, aux)
-        )
+        seen.add((state, rule))
+        if rule.phase[0] == "anchor":
+            assert state.colored[-2:] == (1, 1), (state, rule.phase)
+        children = [apply_move(state, m) for m in search.moves_for(state, rule)]
+        stack.extend((child, rule.advance(child)) for child in children)
 
 
 @pytest.mark.parametrize(

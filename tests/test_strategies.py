@@ -41,12 +41,12 @@ def walk_adversary(strategy, partition, budget, visit):
     owner = strategy.side
     seen = set()
 
-    def key(state, aux, marks):
+    def key(state, rule, marks):
         return (
             state.colored,
             marks,
             (state.last_move.part, state.last_move.fresh) if state.last_move else None,
-            aux,
+            rule,
         )
 
     def marked(marks, state, move):
@@ -54,25 +54,25 @@ def walk_adversary(strategy, partition, budget, visit):
         mark = (distinct + move.fresh, starter or state.turn)
         return marks[: move.part] + (mark,) + marks[move.part + 1 :]
 
-    def rec(state, aux, marks):
+    def rec(state, rule, marks):
         if status(state) is not GameStatus.ONGOING:
             return
-        k = key(state, aux, marks)
+        k = key(state, rule, marks)
         if k in seen:
             return
         seen.add(k)
         if state.turn == owner:
-            move = strategy.choose(aux, state)
+            move = rule.choose(state)
             nxt, nxt_marks = apply_move(state, move), marked(marks, state, move)
             visit(state, move, nxt, nxt_marks)
-            rec(nxt, strategy.advance(aux, state, move), nxt_marks)
+            rec(nxt, rule.advance(nxt), nxt_marks)
         else:
             for move in legal_moves(state):
                 nxt = apply_move(state, move)
-                rec(nxt, strategy.advance(aux, state, move), marked(marks, state, move))
+                rec(nxt, rule.advance(nxt), marked(marks, state, move))
 
     marks = ((0, None),) * partition.k
-    rec(initial_state(partition, budget), strategy.initial_aux(partition), marks)
+    rec(initial_state(partition, budget), strategy, marks)
 
 
 class TestApplicability:
@@ -98,38 +98,37 @@ class TestApplicability:
 
     def test_inapplicable_rejected(self):
         p = Partition.of([5, 5, 1])
-        state, aux = initial_state(p, 5), get_strategy("a2").initial_aux(p)
         with pytest.raises(InapplicableStrategyError):
-            choose_move(get_strategy("a2"), state, aux)
+            choose_move(get_strategy("a2"), initial_state(p, 5))
 
     @pytest.mark.parametrize("pick", [choose_move, admissible_moves])
     def test_wrong_turn_and_finished_game_rejected(self, pick):
         p = Partition.of([2, 2])
         b1 = get_strategy("b1")
         with pytest.raises(InapplicableStrategyError, match="cannot play as alice"):
-            pick(b1, initial_state(p, 3), b1.initial_aux(p))
+            pick(b1, initial_state(p, 3))
         a1 = get_strategy("a1")
         full = [Move(0, True), Move(0, False), Move(1, True), Move(1, False)]
-        state, aux = ctx_after(a1, p, 3, full)
+        rule, state = ctx_after(a1, p, 3, full)
         assert status(state) is GameStatus.ALICE_WON and state.turn == ALICE
         with pytest.raises(ValueError, match="game is over"):
-            pick(a1, state, aux)
+            pick(rule, state)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             get_strategy("a9")
         with pytest.raises(ValueError):
             get_strategy("random:x")
+        assert get_strategy("random:-5").id == "random:-5"
 
 
 def ctx_after(strategy, partition, budget, moves):
-    """The rule's (state, aux) after replaying `moves` through `core.play`."""
-    state = initial_state(partition, budget)
-    aux = strategy.initial_aux(partition)
+    """The (rule value, state) after replaying `moves` through `core.play`."""
+    state, rule = initial_state(partition, budget), strategy
     script = iter(moves)
-    for before, move, state in play(state, lambda _state: next(script, None)):
-        aux = strategy.advance(aux, before, move)
-    return state, aux
+    for _before, _move, state in play(state, lambda _state: next(script, None)):
+        rule = rule.advance(state)
+    return rule, state
 
 
 class TestChooseExamples:
@@ -137,16 +136,16 @@ class TestChooseExamples:
         p = Partition.of([4, 4, 4])
         a1 = get_strategy("a1")
         ctx = ctx_after(a1, p, 5, [])
-        assert choose_move(a1, *ctx) == Move(0, True)
-        assert admissible_moves(a1, *ctx) == [Move(0, True), Move(1, True), Move(2, True)]
+        assert choose_move(*ctx) == Move(0, True)
+        assert admissible_moves(*ctx) == [Move(0, True), Move(1, True), Move(2, True)]
 
     def test_triple_anchor_mirrors_bob_in_anchor(self):
         p = Partition.of([3, 3, 3])
         a2 = get_strategy("a2")
         ctx = ctx_after(a2, p, 4, [])
-        assert choose_move(a2, *ctx) == Move(0, True)  # anchor part opened first
+        assert choose_move(*ctx) == Move(0, True)  # anchor part opened first
         ctx = ctx_after(a2, p, 4, [Move(0, True), Move(0, True)])
-        assert choose_move(a2, *ctx) == Move(0, False)  # repeat Bob's color there
+        assert choose_move(*ctx) == Move(0, False)  # repeat Bob's color there
 
     def test_triple_anchor_falls_through_when_anchor_full(self):
         p = Partition.of([3, 3, 3])
@@ -154,22 +153,22 @@ class TestChooseExamples:
         moves = [Move(0, True), Move(1, True), Move(0, False), Move(0, True)]
         # Bob just filled the anchor; the mirror clause cannot apply.
         ctx = ctx_after(a2, p, 9, moves)
-        assert choose_move(a2, *ctx) == Move(2, True)
+        assert choose_move(*ctx) == Move(2, True)
 
     def test_odd_opener_first_move_smallest_odd(self):
         p = Partition.of([3, 2, 2])
         a3 = get_strategy("a3")
         ctx = ctx_after(a3, p, 4, [])
-        assert choose_move(a3, *ctx) == Move(0, True)
+        assert choose_move(*ctx) == Move(0, True)
         p = Partition.of([5, 3, 2, 1])
         ctx = ctx_after(a3, p, 6, [])
-        assert choose_move(a3, *ctx) == Move(3, True)  # the singleton is smallest odd
+        assert choose_move(*ctx) == Move(3, True)  # the singleton is smallest odd
 
     def test_echo_responder_answers_in_alices_part(self):
         p = Partition.of([4, 4, 4])
         b1 = get_strategy("b1")
         ctx = ctx_after(b1, p, 4, [Move(0, True)])
-        assert choose_move(b1, *ctx) == Move(0, True)
+        assert choose_move(*ctx) == Move(0, True)
 
     def test_echo_responder_prefers_fullest_partial(self):
         p = Partition.of([4, 3, 2])
@@ -178,58 +177,58 @@ class TestChooseExamples:
         # uncolored vertex left while part 0 has three.
         moves = [Move(2, True), Move(0, True), Move(1, True), Move(1, True), Move(1, False)]
         ctx = ctx_after(b1, p, 9, moves)
-        assert choose_move(b1, *ctx) == Move(2, True)
+        assert choose_move(*ctx) == Move(2, True)
 
     def test_echo_responder_starts_largest(self):
         p = Partition.of([4, 2, 1, 1])
         b1 = get_strategy("b1")
         ctx = ctx_after(b1, p, 8, [Move(2, True)])  # Alice filled a singleton
-        assert choose_move(b1, *ctx) == Move(0, True)
+        assert choose_move(*ctx) == Move(0, True)
 
     def test_small_last_echo_takes_singleton_before_pair(self):
         p = Partition.of([2, 2, 1, 1])
         b1p = get_strategy("b1p")
         ctx = ctx_after(b1p, p, 4, [Move(2, True)])
-        assert choose_move(b1p, *ctx) == Move(3, True)
+        assert choose_move(*ctx) == Move(3, True)
         b1 = get_strategy("b1")
         ctx = ctx_after(b1, p, 4, [Move(2, True)])
-        assert choose_move(b1, *ctx) == Move(0, True)
+        assert choose_move(*ctx) == Move(0, True)
 
     def test_singleton_rules_fire_first(self):
         p = Partition.of([4, 3, 1])
         a1p = get_strategy("a1p")
         ctx = ctx_after(a1p, p, 8, [])
-        assert choose_move(a1p, *ctx) == Move(2, True)
+        assert choose_move(*ctx) == Move(2, True)
         a3p = get_strategy("a3p")
         podd = Partition.of([4, 3, 1, 1])
         ctx = ctx_after(a3p, podd, 8, [])
-        assert choose_move(a3p, *ctx) == Move(2, True)
+        assert choose_move(*ctx) == Move(2, True)
         # a2p opens its anchor part before grabbing the singleton
         a2p = get_strategy("a2p")
         ctx = ctx_after(a2p, p, 8, [])
-        assert choose_move(a2p, *ctx) == Move(1, True)
+        assert choose_move(*ctx) == Move(1, True)
         ctx = ctx_after(a2p, p, 8, [Move(1, True), Move(0, True)])
-        assert choose_move(a2p, *ctx) == Move(2, True)
+        assert choose_move(*ctx) == Move(2, True)
 
     def test_composite_opening_script(self):
         p = Partition.of([4, 3, 3, 3, 1, 1])
         comp = get_strategy("acomposite")
         ctx = ctx_after(comp, p, 8, [])
-        assert choose_move(comp, *ctx) == Move(4, True)  # first singleton
+        assert choose_move(*ctx) == Move(4, True)  # first singleton
         # Bob answers in the other singleton: anchor play takes over
         ctx = ctx_after(comp, p, 8, [Move(4, True), Move(5, True)])
-        assert choose_move(comp, *ctx) == Move(1, True)
+        assert choose_move(*ctx) == Move(1, True)
         # Bob answers in a triple: fill the other singleton first
         ctx = ctx_after(comp, p, 8, [Move(4, True), Move(2, True)])
-        assert choose_move(comp, *ctx) == Move(5, True)
+        assert choose_move(*ctx) == Move(5, True)
         # Bob contests the size-4 part: join it with a reuse
         ctx = ctx_after(comp, p, 8, [Move(4, True), Move(0, True)])
-        assert choose_move(comp, *ctx) == Move(0, False)
+        assert choose_move(*ctx) == Move(0, False)
         # ... and complete it if Bob stays there
         ctx = ctx_after(
             comp, p, 8, [Move(4, True), Move(0, True), Move(0, False), Move(0, True)]
         )
-        assert choose_move(comp, *ctx) == Move(0, False)
+        assert choose_move(*ctx) == Move(0, False)
 
 
 ODD_SHAPES = [(3,), (3, 2), (3, 2, 2), (5, 2, 2), (3, 3, 3), (3, 2, 2, 2), (1,), (5, 3, 1)]
@@ -278,7 +277,7 @@ def test_echo_variants_coincide_without_singletons(sizes):
     b1p = get_strategy("b1p")
 
     def visit(state, move, nxt, _marks):
-        assert b1p.choose(None, state) == move
+        assert b1p.choose(state) == move
 
     for budget in range(1, partition.n + 1):
         walk_adversary(b1, partition, budget, visit)
@@ -298,12 +297,11 @@ def test_choice_is_first_admissible_and_legal(name):
             continue
         for budget in (max(2, partition.k - 1), partition.k + 1, partition.n):
             for _trial in range(20):
-                state = initial_state(partition, budget)
-                aux = strategy.initial_aux(partition)
+                state, rule = initial_state(partition, budget), strategy
                 while status(state) is GameStatus.ONGOING:
                     if state.turn == strategy.side:
-                        moves = admissible_moves(strategy, state, aux)
-                        pick = choose_move(strategy, state, aux)
+                        moves = admissible_moves(rule, state)
+                        pick = choose_move(rule, state)
                         legal = legal_moves(state)
                         assert pick == moves[0]
                         assert all(m in legal for m in moves)
@@ -312,23 +310,22 @@ def test_choice_is_first_admissible_and_legal(name):
                         move = pick
                     else:
                         move = rng.choice(legal_moves(state))
-                    aux = strategy.advance(aux, state, move)
                     state = apply_move(state, move)
+                    rule = rule.advance(state)
 
 
 def test_context_rebuilds_from_history():
     p = Partition.of([4, 3, 3, 3, 1, 1])
     comp = get_strategy("acomposite")
     moves = [Move(4, True), Move(0, True), Move(0, False), Move(0, True), Move(0, False)]
-    rebuilt_state, rebuilt_aux = ctx_after(comp, p, 8, moves)
-    assert rebuilt_aux[0] == "watch"
+    rebuilt_rule, rebuilt_state = ctx_after(comp, p, 8, moves)
+    assert rebuilt_rule.phase[0] == "watch"
     # step-by-step advance agrees with the rebuild through core.play
-    state = initial_state(p, 8)
-    aux = comp.initial_aux(p)
+    state, rule = initial_state(p, 8), comp
     for m in moves:
-        aux = comp.advance(aux, state, m)
         state = apply_move(state, m)
-    assert aux == rebuilt_aux
+        rule = rule.advance(state)
+    assert rule == rebuilt_rule
     assert state == rebuilt_state
 
 
@@ -340,10 +337,10 @@ def test_random_strategy_is_seed_deterministic():
     state = initial_state(p, 4)
     seen_diff = False
     while status(state) is GameStatus.ONGOING:
-        assert r7.choose(None, state) == r7b.choose(None, state)
-        if r7.choose(None, state) != r8.choose(None, state):
+        assert r7.choose(state) == r7b.choose(state)
+        if r7.choose(state) != r8.choose(state):
             seen_diff = True
-        state = apply_move(state, r7.choose(None, state))
+        state = apply_move(state, r7.choose(state))
     assert r7.id == "random:7"
     # different seeds at least occasionally pick differently
     assert seen_diff or p.n < 4
@@ -353,4 +350,4 @@ def test_human_requires_session():
     p = Partition.of([2, 2])
     human = get_strategy("human")
     with pytest.raises(InapplicableStrategyError):
-        human.choose(None, initial_state(p, 3))
+        human.choose(initial_state(p, 3))
