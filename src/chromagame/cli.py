@@ -57,6 +57,7 @@ from .strategies import (
 CACHE_ENV = "CHROMA_CACHE"
 MAX_VERTICES = 100_000  # the largest partition any command accepts
 MAX_SOLVE_WORK = 1_000_000  # the largest `solve_work` that solve searches
+MAX_NONOPT_K = 18  # the largest `conjecture nonopt --k`; about 3 s on 2 CPUs
 
 
 class UsageError(Exception):
@@ -360,9 +361,8 @@ def cmd_conjecture_b1p(args, out, inp) -> int:
 
 
 def cmd_conjecture_nonopt(args, out, inp) -> int:
-    n = 3 * args.k - 3  # K_{4,3^(k-3),1,1}, checked before it is built
-    if n > MAX_VERTICES:
-        raise UsageError(f"--k {args.k} gives {n} vertices; at most {MAX_VERTICES} are accepted")
+    if args.k > MAX_NONOPT_K:  # checked before K_{4,3^(k-3),1,1} is built
+        raise UsageError(f"--k {args.k} is too large; at most {MAX_NONOPT_K} is accepted")
     try:
         report = check_nonoptimality_theorem(args.k)
     except ValueError as exc:

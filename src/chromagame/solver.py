@@ -266,10 +266,16 @@ class _RestrictedSearch:
              `anchor` is entered after both singletons are colored, so any
              key it shares with an `anchor_s` position has no uncolored
              singleton, and both phases allow the same moves.
-          2. Each scripted phase (`open` ... `watch`) occurs at one move
-             count. Any two phases present at the same move count differ in
-             the anchor part's code (or its absence) or in the colored count
-             of the size-4 part.
+          2. The phase is the one the rule last moved in, and it steps
+             only on the opponent's replies. Each scripted phase (`open`,
+             `fill_singleton`, `join_big`, `close_big`) covers one of
+             Alice's moves and the reply to it. At Alice's turn, any two
+             phases present at one move count differ in the anchor part's
+             code (or its absence) or in the colored count of the size-4
+             part. At the opponent's turn a phase acts only through the
+             phase the reply steps it to. The one scripted phase that may
+             share a key with another there, `fill_singleton` with `anchor`
+             after three moves, steps to `anchor` on the marked part.
         """
         sizes = state.partition.sizes
         base = sizes[0] + 1
@@ -323,9 +329,10 @@ class _RestrictedSearch:
         self, state: GameState, rule: Strategy
     ) -> Optional[tuple[list[Move], GameState, Strategy]]:
         """Walk the allowed moves depth first on an explicit stack, storing
-        the keys of achieved positions. None if every position is achieved;
-        else stop at the first lost position and return the moves on the
-        stack, which lead to it, with that position and the rule at it."""
+        the keys of positions the pinned seat has won. None if it wins every
+        position; else stop at the first lost position and return the moves
+        on the stack, which lead to it, with that position and the rule at
+        it."""
         found, stack = self._open(state, rule), []
         while found is not False:
             if found is not True:
@@ -345,15 +352,12 @@ class _RestrictedSearch:
         states = [frame[1] for frame in stack] + [state]
         return [s.last_move for s in states[1:]], state, rule
 
-    def achieved(self, state: GameState, rule: Strategy) -> bool:
-        """True iff every move `moves_for` allows leads to an achieved
-        position; `rule` is the pinned rule as it stands at `state`."""
-        return self._first_loss(state, rule) is None
-
     def refutation(self, state: GameState, rule: Strategy) -> Optional[list[Move]]:
-        """None if `achieved`; otherwise the first failing line in search
-        order (at each position, the first allowed move that is not
-        achieved), played out to a terminal so it replays to a full game.
+        """None if the pinned seat reaches its goal from `state`, where
+        `rule` is the pinned rule as it stands; otherwise the first failing
+        line in search order (at each position, the first allowed move that
+        is not won), played out to a terminal so it replays to a full
+        game.
 
         The walk gives the line up to the first lost position. From there
         one rule plays it out: the pinned seat plays its rule's choice (the
@@ -382,26 +386,6 @@ class _RestrictedSearch:
         return line + [move for _before, move, _after in play(state, pick)]
 
 
-def _pinned_start(
-    partition: Partition,
-    budget: int,
-    fixed_side: str,
-    strategy: Strategy | str,
-    mode: str,
-) -> tuple[_RestrictedSearch, GameState, Strategy]:
-    """Check the arguments of a pinned search; return the search, the empty
-    board and the rule."""
-    strategy = as_strategy(strategy)
-    if fixed_side not in (ALICE, BOB):
-        raise ValueError(f"fixed_side must be {ALICE!r} or {BOB!r}")
-    if not 1 <= budget <= partition.n:
-        raise ValueError(f"budget must be in 1..{partition.n}")
-    check_seat(strategy, partition, fixed_side)
-    if strategy.side is None:  # random, human: they pick by part order, which keys drop
-        raise InapplicableStrategyError(f"{strategy.id} is not an analyzed rule")
-    return _RestrictedSearch(fixed_side, mode), initial_state(partition, budget), strategy
-
-
 def restricted_value(
     partition: Partition,
     budget: int,
@@ -411,8 +395,7 @@ def restricted_value(
 ) -> bool:
     """Does `fixed_side`, pinned to `strategy`, reach its goal against every
     opponent line? (Alice's goal: full coloring; Bob's: a stuck part.)"""
-    search, state, rule = _pinned_start(partition, budget, fixed_side, strategy, mode)
-    return search.achieved(state, rule)
+    return refute_restricted(partition, budget, fixed_side, strategy, mode) is None
 
 
 def refute_restricted(
@@ -424,5 +407,13 @@ def refute_restricted(
 ) -> Optional[list[Move]]:
     """None when the pinned seat's goal is guaranteed; otherwise the first
     failing line in deterministic search order, played out to a terminal."""
-    search, state, rule = _pinned_start(partition, budget, fixed_side, strategy, mode)
-    return search.refutation(state, rule)
+    strategy = as_strategy(strategy)
+    if fixed_side not in (ALICE, BOB):
+        raise ValueError(f"fixed_side must be {ALICE!r} or {BOB!r}")
+    if not 1 <= budget <= partition.n:
+        raise ValueError(f"budget must be in 1..{partition.n}")
+    check_seat(strategy, partition, fixed_side)
+    if strategy.side is None:  # random, human: they pick by part order, which keys drop
+        raise InapplicableStrategyError(f"{strategy.id} is not an analyzed rule")
+    state = initial_state(partition, budget)
+    return _RestrictedSearch(fixed_side, mode).refutation(state, strategy)

@@ -244,14 +244,12 @@ class CompositeOpening(Strategy):
     id = "acomposite"
     side = ALICE
 
-    # The phase is a tuple whose head names it:
-    #   ("open",)                 Alice's scripted first move
-    #   ("reply1",)               waiting for the opponent's first reply
+    # The phase is a tuple whose head names it. It is the phase Alice last
+    # moved in (or moves in next), and it steps only on the opponent's replies:
+    #   ("open",)                 color a singleton
     #   ("fill_singleton", vj)    claim the second singleton, then anchor vj
     #   ("join_big",)             scripted reuse in the size-4 part
-    #   ("reply2",)               waiting for the opponent's second reply
     #   ("close_big",)            scripted completion of the size-4 part
-    #   ("watch",)                waiting to pick the anchor for a2p
     #   ("anchor", vj)            delegated a2
     #   ("anchor_s", vj)          delegated a2p
     #   ("solo",)                 delegated a1p
@@ -268,11 +266,11 @@ class CompositeOpening(Strategy):
         )
 
     def advance(self, state):
+        if state.turn == BOB:  # Alice's own move
+            return self
         phase, part = self.phase[0], state.last_move.part
         size = state.partition.sizes[part]
         if phase == "open":
-            return CompositeOpening(("reply1",))
-        if phase == "reply1":
             if size == 1:
                 return CompositeOpening(("anchor", _first_triple(state.partition)))
             if size == 3:
@@ -283,12 +281,8 @@ class CompositeOpening(Strategy):
             # own anchor-opening move.
             return CompositeOpening(("anchor", self.phase[1]))
         if phase == "join_big":
-            return CompositeOpening(("reply2",))
-        if phase == "reply2":
             return CompositeOpening(("close_big",) if part == 0 else ("solo",))
         if phase == "close_big":
-            return CompositeOpening(("watch",))
-        if phase == "watch":
             anchor = part if size == 3 else _first_triple(state.partition)
             return CompositeOpening(("anchor_s", anchor))
         return self
@@ -303,15 +297,10 @@ class CompositeOpening(Strategy):
             return _anchor(state, self.phase[1]) or _start_or_fill(state)
         if phase == "anchor_s":
             return _anchor(state, self.phase[1]) or _singletons(state) or _start_or_fill(state)
-        if phase == "solo":
-            return _singletons(state) or _start_or_fill(state)
-        # reply1/reply2/watch are opponent-turn phases
-        return []
+        return _singletons(state) or _start_or_fill(state)  # solo
 
     def anchor_part(self, state):
-        if self.phase[0] in ("anchor", "anchor_s", "fill_singleton"):
-            return self.phase[1]
-        return None
+        return self.phase[1] if len(self.phase) > 1 else None
 
 
 class RandomMover(Strategy):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromagame.cli import MAX_SOLVE_WORK, MAX_VERTICES, run, solve_work
+from chromagame.cli import MAX_NONOPT_K, MAX_SOLVE_WORK, MAX_VERTICES, run, solve_work
 from chromagame.core import Partition
 from chromagame.harness import all_partitions
 
@@ -363,6 +363,7 @@ class TestUsageErrors:
             ["conjecture", "b1p", "--max-n", "6", "--k", "7"],
             ["conjecture", "nonopt", "--k", "6", "--universal"],
             ["conjecture", "nonopt", "--k", "6", "--max-n", "5"],
+            ["conjecture", "nonopt", "--k", str(MAX_NONOPT_K + 1)],
             ["solve", "3_0"],  # int() reads "3_0" as 30
             ["solve", "\u0663"],  # an Arabic-Indic three, which int() reads as 3
             ["solve", "+3"],
@@ -403,7 +404,7 @@ class TestVertexCap:
         assert invoke(["conjecture", "nonopt", "--k", "1000000000"]) == (2, "")
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err == (
-            f"error: --k 1000000000 gives 2999999997 vertices; at most {MAX_VERTICES} are accepted\n"
+            f"error: --k 1000000000 is too large; at most {MAX_NONOPT_K} is accepted\n"
         )
 
     def test_partition_at_the_cap_is_solved(self):

@@ -192,7 +192,7 @@ def assert_pinned_search_exact(partition, name, mode, budget):
                     moves = [rule.choose(state)]
                 children = [apply_move(state, m) for m in moves]
                 plain[key] = all([value(child, rule.advance(child)) for child in children])
-            assert search.achieved(state, rule) == plain[key], where
+            assert (search._first_loss(state, rule) is None) == plain[key], where
         return plain[key]
 
     value(initial_state(partition, budget), strategy)
@@ -246,6 +246,11 @@ def count_search_moves(monkeypatch):
     return run
 
 
+def first_loss(partition, budget, side, mode, rule):
+    """A bare pinned-search walk from the empty board."""
+    return _RestrictedSearch(side, mode)._first_loss(initial_state(partition, budget), rule)
+
+
 @pytest.mark.parametrize("sizes", [tuple(p.sizes) for p in all_partitions(7)])
 def test_refutations_replay_to_the_pinned_seat_loss(sizes, monkeypatch):
     """Every line `refute_restricted` returns is a game the pinned rule can
@@ -253,7 +258,7 @@ def test_refutations_replay_to_the_pinned_seat_loss(sizes, monkeypatch):
     its turns) that replays through `record_playout` to the pinned seat's
     loss; `restricted_value` is False exactly when there is such a line.
     A refutation costs one walk: `refute_restricted` applies exactly as
-    many moves in the search as `restricted_value`."""
+    many moves in the search as a bare `_first_loss` walk."""
     run = count_search_moves(monkeypatch)
     partition = Partition(sizes)
     for name in RULES:
@@ -267,8 +272,9 @@ def test_refutations_replay_to_the_pinned_seat_loss(sizes, monkeypatch):
                 case = (partition, budget, side, name, mode)
                 where = (name, mode, budget)
                 line, refuted = run(refute_restricted, *case)
-                value, valued = run(restricted_value, *case)
-                assert (value, refuted) == (line is None, valued), where
+                _loss, walked = run(first_loss, partition, budget, side, mode, strategy)
+                value = restricted_value(*case)
+                assert (value, refuted) == (line is None, walked), where
                 if line is None:
                     continue
                 state, rule = initial_state(partition, budget), strategy
@@ -287,8 +293,8 @@ def test_refutations_replay_to_the_pinned_seat_loss(sizes, monkeypatch):
 @pytest.mark.parametrize("k", [6, 7, 8])
 def test_nonoptimality_refutations_walk_once(k, monkeypatch):
     """Each simple Alice rule loses K_{4,3^(k-3),1,1} with 2k - 4 colors.
-    Its refutation costs the search exactly the moves `restricted_value`
-    applies and replays through `record_playout` to Bob's win."""
+    Its refutation costs the search exactly the moves a bare `_first_loss`
+    walk applies and replays through `record_playout` to Bob's win."""
     run = count_search_moves(monkeypatch)
     partition = Partition((4,) + (3,) * (k - 3) + (1, 1))
     budget = 2 * k - 4
@@ -296,8 +302,9 @@ def test_nonoptimality_refutations_walk_once(k, monkeypatch):
         if not get_strategy(name).is_applicable(partition):
             continue
         line, refuted = run(refute_restricted, partition, budget, ALICE, name)
-        value, valued = run(restricted_value, partition, budget, ALICE, name)
-        assert line is not None and not value and refuted == valued, (name, refuted, valued)
+        _loss, walked = run(first_loss, partition, budget, ALICE, DETERMINISTIC, get_strategy(name))
+        value = restricted_value(partition, budget, ALICE, name)
+        assert line is not None and not value and refuted == walked, (name, refuted, walked)
         record = record_playout(partition, budget, line, ALICE, BOB)
         assert record.outcome == GameStatus.BOB_WON.value, name
 
@@ -309,7 +316,8 @@ def test_acomposite_bookkeeping_follows_the_board(k, mode):
     """The fact that lets the pinned-search key merge acomposite's `anchor`
     and `anchor_s` phases, at every position the search keys on
     K_{4,3^(k-3),1,1} with 2k - 4 colors (the non-optimality budget): phase
-    `anchor` is entered only once both singletons are colored."""
+    `anchor` is entered only once both singletons are colored. The phase
+    steps only on the opponent's replies: Alice's own moves keep the value."""
     partition = Partition((4,) + (3,) * (k - 3) + (1, 1))
     strategy = get_strategy("acomposite")
     search = _RestrictedSearch(ALICE, mode)
@@ -324,7 +332,10 @@ def test_acomposite_bookkeeping_follows_the_board(k, mode):
         if rule.phase[0] == "anchor":
             assert state.colored[-2:] == (1, 1), (state, rule.phase)
         children = [apply_move(state, m) for m in search.moves_for(state, rule)]
-        stack.extend((child, rule.advance(child)) for child in children)
+        steps = [(child, rule.advance(child)) for child in children]
+        if state.turn == ALICE:
+            assert all(after is rule for _child, after in steps), (state, rule.phase)
+        stack.extend(steps)
 
 
 @pytest.mark.parametrize(

@@ -319,7 +319,7 @@ def test_context_rebuilds_from_history():
     comp = get_strategy("acomposite")
     moves = [Move(4, True), Move(0, True), Move(0, False), Move(0, True), Move(0, False)]
     rebuilt_rule, rebuilt_state = ctx_after(comp, p, 8, moves)
-    assert rebuilt_rule.phase[0] == "watch"
+    assert rebuilt_rule.phase[0] == "close_big"
     # step-by-step advance agrees with the rebuild through core.play
     state, rule = initial_state(p, 8), comp
     for m in moves:
