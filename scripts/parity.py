@@ -35,7 +35,12 @@ from chromagame.core import (  # noqa: E402
     status,
 )
 from chromagame.harness import NONOPT_ALICE_RULES, all_partitions, guarantee_suite  # noqa: E402
-from chromagame.solver import DETERMINISTIC, UNIVERSAL, refute_restricted  # noqa: E402
+from chromagame.solver import (  # noqa: E402
+    DETERMINISTIC,
+    UNIVERSAL,
+    alice_wins,
+    refute_restricted,
+)
 from chromagame.strategies import get_strategy  # noqa: E402
 
 RULES = ("a1", "a1p", "a2", "a2p", "a3", "a3p", "acomposite", "b1", "b1p")
@@ -190,6 +195,13 @@ def winvectors():
     return scan(18)
 
 
+def alice_wins_surface():
+    """The one-budget search at every budget of every shape with n <= 12,
+    budgets below k and from 2k - 1 up included."""
+    for partition, budget in shape_budgets(12):
+        yield json.dumps([str(partition), budget, alice_wins(partition, budget)])
+
+
 def solve():
     for partition in all_partitions(9):
         yield cli_record(["solve", str(partition), "--format", "json"])
@@ -206,6 +218,7 @@ SURFACES = {
     "rules": rules,
     "winvectors": winvectors,
     "refutation_lines": refutation_lines,
+    "alice_wins": alice_wins_surface,
 }
 
 

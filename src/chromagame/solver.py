@@ -15,7 +15,6 @@ from .core import (
     Move,
     Partition,
     apply_move,
-    fixing_move_played,
     initial_state,
     legal_moves,
     play,
@@ -25,6 +24,7 @@ from .formulas import table1_chi_g
 from .strategies import (
     InapplicableStrategyError,
     Strategy,
+    StrategyTotalityError,
     as_strategy,
     check_seat,
 )
@@ -40,13 +40,36 @@ def canonicalize(state: GameState) -> tuple:
     Full parts are inert. A started part takes a reuse of its own color on
     every vertex it has left, and a fresh color while the budget lasts, so
     started parts differ only in how many vertices they have left, and only
-    the total matters. With no unstarted part, the game can only end fully
-    colored; with an unstarted part and no colors left, Bob has won.
+    the total matters. The key holds the counts that `decided` reads.
     """
     pairs = tuple(zip(state.partition.sizes, state.colored))
     unstarted = tuple(size for size, colored in pairs if not colored)  # sizes are sorted
     pool = sum(size - colored for size, colored in pairs if colored)
     return (unstarted, pool, state.budget - state.used, state.turn)
+
+
+def decided(unstarted: int, left: int) -> Optional[bool]:
+    """Alice's value of a position with `unstarted` unstarted parts and
+    `left` colors left, if a counting law settles it whatever is played;
+    else None.
+
+    - No part unstarted: Alice has won, as the game can only end fully
+      colored (see `core.fixing_move_played`).
+    - Fewer colors left than unstarted parts: Bob has won. A color used in
+      one part is illegal in every other, so each unstarted part needs a
+      new color of its own and some part can never be colored. While a
+      color is left, a fresh move into an unstarted part stays legal, so
+      play ends with the budget spent and a part unstarted.
+
+    A move starts at most one part, and only with a new color, so no part
+    is unstarted again and `left - unstarted` never rises: every position
+    reachable from a decided one is decided alike. Every terminal position
+    is decided: a full board has no part unstarted, and Bob wins with a
+    part unstarted and no color left.
+    """
+    if not unstarted or left < unstarted:
+        return not unstarted
+    return None
 
 
 def _value(key: tuple, memo: dict[tuple, bool]) -> bool:
@@ -58,8 +81,9 @@ def _value(key: tuple, memo: dict[tuple, bool]) -> bool:
     while stack:
         node = stack[-1]
         unstarted, pool, left, turn = node
-        if not unstarted or not left:  # decided, see canonicalize
-            memo[node] = not unstarted
+        settled = decided(len(unstarted), left)
+        if settled is not None:
+            memo[node] = settled
         if node in memo:
             stack.pop()
             continue
@@ -100,8 +124,7 @@ def fresh_starter_budget(partition: Partition) -> int:
     her next turn until every part is started. Alice therefore always has a
     color for an unstarted part, and after her move `left >= 2u`, so Bob's
     one move cannot spend the last color while a part is unstarted. No part
-    is ever stranded, and once every part is started the game can only end
-    fully colored (see `fixing_move_played`).
+    is ever stranded, and once every part is started the game is `decided`.
     """
     return 2 * partition.k - 1
 
@@ -170,15 +193,14 @@ class WinVector:
 
 
 def win_vector(partition: Partition, memo: Optional[dict[tuple, bool]] = None) -> WinVector:
-    """Solve every budget. Budgets below k cannot even color the k mutually
-    adjacent parts, and budgets from `fresh_starter_budget` up are won, so
-    both are settled without search; only k..2k - 2 are searched. Keys hold
+    """Solve every budget. Budgets from `fresh_starter_budget` up are won
+    without search; a budget below k is `decided` at the root. Keys hold
     colors left, not the budget, so one `memo` serves every budget and
     shape."""
     memo = {} if memo is None else memo
-    k, won = partition.k, min(fresh_starter_budget(partition), partition.n + 1)
-    searched = [_value((partition.sizes, 0, t, ALICE), memo) for t in range(k, won)]
-    wins = (False,) * (k - 1) + tuple(searched) + (True,) * (partition.n + 1 - won)
+    won = min(fresh_starter_budget(partition), partition.n + 1)
+    searched = [_value((partition.sizes, 0, t, ALICE), memo) for t in range(1, won)]
+    wins = tuple(searched) + (True,) * (partition.n + 1 - won)
     return WinVector(partition, wins)
 
 
@@ -288,38 +310,21 @@ class _RestrictedSearch:
         return (tuple(sorted(codes)), state.budget - state.used)
 
     def moves_for(self, state: GameState, rule: Strategy) -> list[Move]:
-        if state.turn == self.fixed_side:
-            if self.universal:
-                return rule.admissible(state)
-            return [rule.choose(state)]
-        return legal_moves(state)
+        if state.turn != self.fixed_side:
+            return legal_moves(state)
+        moves = rule.admissible(state)
+        if not moves:
+            raise StrategyTotalityError(f"{rule.id}: no clause matched")
+        return moves if self.universal else moves[:1]
 
     def _open(self, state: GameState, rule: Strategy) -> bool | tuple:
         """The position's value if it is settled or known won, else a stack
         frame: its key, the position, the rule and an iterator over its moves.
-
-        A position with every part started is settled for Alice: the game
-        can only end fully colored (see `fixing_move_played`).
-
-        A position with fewer colors left than unstarted parts is settled
-        for Bob, whatever either seat plays:
-
-        - A color used in one part is illegal in every other part, so each
-          unstarted part can only be started by a new color of its own.
-        - With fewer colors left than unstarted parts, some part can never
-          be colored, and the game cannot end fully colored.
-        - While a color is left, a fresh move into an unstarted part stays
-          legal, so play goes on until the budget is spent with a part
-          unstarted: `status`'s Bob win.
-
-        The two checks also settle every terminal position, so `status` is
-        not asked: a full board has every part started, and a Bob win has an
-        unstarted part and no color left.
-        """
-        if fixing_move_played(state):
-            return self.goal_alice
-        if state.budget - state.used < state.colored.count(0):
-            return not self.goal_alice
+        A position is settled when it is `decided`, which covers every
+        terminal position, so `status` is not asked."""
+        settled = decided(state.colored.count(0), state.budget - state.used)
+        if settled is not None:
+            return settled == self.goal_alice
         key = self.key(state, rule)
         if key in self.won:
             return True
@@ -360,15 +365,9 @@ class _RestrictedSearch:
         game.
 
         The walk gives the line up to the first lost position. From there
-        one rule plays it out: the pinned seat plays its rule's choice (the
-        first admissible move, so the first move `moves_for` allows in
-        either mode) and the other seat its first legal move. Every allowed
-        move from a lost position `_open` settles loses too, so this is
-        still the first failing line:
-
-        - Lost for Alice: fewer colors left than unstarted parts. So has
-          every child, as no move starts a part without spending a color.
-        - Lost for Bob: every part started, and every child keeps them so.
+        each turn plays the first move `moves_for` allows. A lost position
+        `_open` settles is `decided`, and every move from it keeps it so, so
+        this is still the first failing line.
         """
         loss = self._first_loss(state, rule)
         if loss is None:

@@ -155,9 +155,9 @@ def test_criterion_6_b1p_conjecture():
 
 def test_criterion_7a_engine_oracle_equivalence():
     """Count engine == vertex oracle on all states, and solver == brute-force
-    minimax, for every shape with n <= 9 and every budget."""
+    minimax, for every shape with n <= 10 and every budget."""
     start = time.perf_counter()
-    partitions = all_partitions(9)
+    partitions = all_partitions(10)
     states_checked = 0
     for partition in partitions:
         for budget in range(1, partition.n + 1):

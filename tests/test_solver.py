@@ -23,7 +23,12 @@ from chromagame.core import (
     legal_moves,
     status,
 )
-from chromagame.harness import NONOPT_ALICE_RULES, all_partitions, record_playout
+from chromagame.harness import (
+    NONOPT_ALICE_RULES,
+    all_partitions,
+    record_playout,
+    verify_guarantee,
+)
 from chromagame.solver import (
     DETERMINISTIC,
     UNIVERSAL,
@@ -39,7 +44,12 @@ from chromagame.solver import (
     save_cache,
     win_vector,
 )
-from chromagame.strategies import InapplicableStrategyError, Rule, get_strategy
+from chromagame.strategies import (
+    InapplicableStrategyError,
+    Rule,
+    StrategyTotalityError,
+    get_strategy,
+)
 
 from oracle import VertexGame
 
@@ -121,26 +131,51 @@ def test_pooled_key_values_every_reachable_position(sizes):
         value(initial_state(partition, budget))
 
 
-def test_fewer_colors_than_unstarted_parts_lose_for_alice():
-    """Each unstarted part needs a new color of its own, so Alice loses every
-    position with fewer colors left than unstarted parts. The pinned search
-    settles such positions without search; the pooled solver does not, so
-    its memo checks the count on every shape with n <= 10."""
-    doomed = 0
+def pooled_minimax(key, memo):
+    """Alice's value of a pooled key by plain minimax with no counting law:
+    only a key with no unstarted part (won) or no color left (lost) is a
+    leaf. Fills `memo` with every key reachable from `key`."""
+    if key not in memo:
+        unstarted, pool, left, turn = key
+        if not unstarted or not left:
+            memo[key] = not unstarted
+        else:
+            nxt = BOB if turn == ALICE else ALICE
+            children = {
+                (unstarted[:i] + unstarted[i + 1 :], pool + size - 1, left - 1, nxt)
+                for i, size in enumerate(unstarted)
+            }
+            if pool:
+                children |= {(unstarted, pool - 1, left, nxt), (unstarted, pool - 1, left - 1, nxt)}
+            values = [pooled_minimax(child, memo) for child in children]
+            memo[key] = any(values) if turn == ALICE else all(values)
+    return memo[key]
+
+
+def test_decided_keys_match_the_plain_minimax():
+    """On every pooled key reachable from every shape with n <= 10, at every
+    budget, a value `decided` gives is the plain minimax value, and
+    `_value`, which settles by it, gives every key its plain value."""
+    plain: dict = {}
     for partition in all_partitions(10):
-        memo: dict = {}
-        win_vector(partition, memo)
-        for (unstarted, _pool, left, _turn), wins in memo.items():
-            if left < len(unstarted):
-                doomed += 1
-                assert not wins, (partition, unstarted, left)
-    assert doomed  # the solver does reach such positions
+        for budget in range(1, partition.n + 1):
+            pooled_minimax((partition.sizes, 0, budget, ALICE), plain)
+    memo: dict = {}
+    beyond_leaves = 0  # keys `decided` settles that the plain leaf test does not
+    for key, wins in plain.items():
+        unstarted, _pool, left, _turn = key
+        settled = solver.decided(len(unstarted), left)
+        assert settled in (None, wins), key
+        if settled is not None and unstarted and left:
+            beyond_leaves += 1
+        assert _value(key, memo) == wins, key
+    assert beyond_leaves
 
 
 def test_settled_budgets_match_the_search():
-    """`win_vector` settles budgets below k and from 2k - 1 up without
-    search; on every shape with n <= 12 each budget matches `alice_wins`,
-    the plain one-budget search."""
+    """`win_vector` settles budgets from 2k - 1 up without search; on every
+    shape with n <= 12 each budget matches `alice_wins`, the plain
+    one-budget search."""
     for partition in all_partitions(12):
         searched = tuple(alice_wins(partition, t) for t in range(1, partition.n + 1))
         assert win_vector(partition).wins == searched, partition
@@ -543,6 +578,16 @@ class TestRestricted:
         assert get_strategy("a1p") is a1p
         with pytest.raises(FrozenInstanceError):
             a1p.clauses = ()
+
+    @pytest.mark.parametrize("mode", [DETERMINISTIC, UNIVERSAL])
+    def test_a_rule_with_no_matching_clause_raises(self, mode):
+        """A pinned seat with no admissible move is an error in both modes,
+        not a position won for it."""
+        never = Rule("never", ALICE, (lambda state: [],))
+        p = Partition((2, 2))
+        for check in (refute_restricted, restricted_value, verify_guarantee):
+            with pytest.raises(StrategyTotalityError, match="never: no clause matched"):
+                check(p, 3, ALICE, never, mode)
 
 
 def test_transcript_color_choices_do_not_split_canonical_keys():
