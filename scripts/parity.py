@@ -191,7 +191,10 @@ def scan(max_n: int = 14):
 
 
 def winvectors():
-    """The scan surface to n <= 18, where most budgets are from 2k - 1 up."""
+    """The scan surface to n <= 18, where most budgets are from 2k - 1 up.
+    Those are won by a1, and bits below chi_g - 1 follow from the
+    monotonicity argument on `solver.win_vector`, which searches only the
+    budgets from min(n, 2k - 1) - 1 down to chi_g - 1."""
     return scan(18)
 
 

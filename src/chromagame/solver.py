@@ -106,10 +106,14 @@ def _value(key: tuple, memo: dict[tuple, bool]) -> bool:
     return memo[key]
 
 
-def alice_wins(partition: Partition, budget: int) -> bool:
-    """True iff Alice has a winning strategy with exactly `budget` colors."""
+def _check_budget(partition: Partition, budget: int) -> None:
     if not 1 <= budget <= partition.n:
         raise ValueError(f"budget must be in 1..{partition.n}")
+
+
+def alice_wins(partition: Partition, budget: int) -> bool:
+    """True iff Alice has a winning strategy with exactly `budget` colors."""
+    _check_budget(partition, budget)
     return _value((partition.sizes, 0, budget, ALICE), {})
 
 
@@ -131,37 +135,19 @@ def fresh_starter_budget(partition: Partition) -> int:
 
 @dataclass(frozen=True)
 class WinVector:
-    """Optimal-play outcome for every budget t = 1..n on one partition."""
+    """Optimal-play outcome for every budget t = 1..n on one partition:
+    Alice wins iff t >= chi_g (see `win_vector`)."""
 
     partition: Partition
-    wins: tuple[bool, ...]
+    chi_g: int
 
     def alice_wins(self, budget: int) -> bool:
-        return self.wins[budget - 1]
-
-    @property
-    def chi_g(self) -> int:
-        """Smallest budget with which Alice wins."""
-        return self.wins.index(True) + 1
-
-    @property
-    def anomalies(self) -> tuple[int, ...]:
-        """Budgets t where Alice wins but loses at t+1 (none are expected,
-        but monotonicity in t is not a proven fact on this graph class)."""
-        return tuple(
-            t
-            for t in range(1, self.partition.n)
-            if self.wins[t - 1] and not self.wins[t]
-        )
-
-    @property
-    def monotone(self) -> bool:
-        return not self.anomalies
+        _check_budget(self.partition, budget)
+        return budget >= self.chi_g
 
     def bitstring(self) -> str:
         """Win flags for t = k..n as '0'/'1' characters."""
-        k = self.partition.k
-        return "".join("1" if w else "0" for w in self.wins[k - 1 :])
+        return "0" * (self.chi_g - self.partition.k) + "1" * (self.partition.n + 1 - self.chi_g)
 
     def to_cache_line(self) -> str:
         return f"{self.partition};{self.chi_g};{self.bitstring()}"
@@ -173,35 +159,49 @@ class WinVector:
             partition, chi = Partition.parse(part_text), int(chi_text)
         except ValueError:
             raise ValueError(f"bad cache line: {line!r}") from None
-        k = partition.k
-        if len(bits) != partition.n - k + 1 or any(b not in "01" for b in bits):
-            raise ValueError(f"bad cache line: {line!r}")
-        wins = tuple([False] * (k - 1) + [b == "1" for b in bits])
-        # Cheap consistency checks, not a re-solve: Alice wins with n colors
-        # and with `fresh_starter_budget` or more, and the table is exact
+        # Cheap consistency checks, not a re-solve: chi_g lies between k and
+        # the a1 ceiling, the bits are its threshold, and the table is exact
         # where it applies.
-        won = min(partition.n, fresh_starter_budget(partition))
-        if not all(wins[won - 1 :]):
-            raise ValueError(f"cache line has Alice losing with t >= {won} colors: {line!r}")
-        vec = cls(partition, wins)
-        if vec.chi_g != chi:
-            raise ValueError(f"cache line value mismatch: {line!r}")
+        k, ceiling = partition.k, min(partition.n, fresh_starter_budget(partition))
+        if not k <= chi <= ceiling:
+            raise ValueError(f"cache line has chi_g outside {k}..{ceiling}: {line!r}")
+        vec = cls(partition, chi)
+        if bits != vec.bitstring():
+            raise ValueError(f"cache line bits are not the threshold of chi_g {chi}: {line!r}")
         table = table1_chi_g(partition)
-        if table is not None and table != vec.chi_g:
+        if table is not None and table != chi:
             raise ValueError(f"cache line contradicts the table value {table}: {line!r}")
         return vec
 
 
 def win_vector(partition: Partition, memo: Optional[dict[tuple, bool]] = None) -> WinVector:
-    """Solve every budget. Budgets from `fresh_starter_budget` up are won
-    without search; a budget below k is `decided` at the root. Keys hold
-    colors left, not the budget, so one `memo` serves every budget and
-    shape."""
+    """Solve the shape. Alice's value at a pooled key is monotone in `left`,
+    so one number, chi_g, gives every budget:
+
+    1. At a key `decided` leaves open, u >= 1 and left >= u >= 1, u being
+       the unstarted parts. So every fresh move is legal, and a reuse needs
+       only P > 0, P being the pool. The children of `(U, P, left + 1,
+       turn)` are those of `(U, P, left, turn)` with one more color left.
+    2. `decided`'s values are thresholds in `left`: won at any `left` with
+       no part unstarted, and lost below u.
+    3. By induction on the uncolored vertices, each key's winning budgets
+       form an up-set in `left`. At Alice's turn they are the union of her
+       children's up-sets, and at Bob's the intersection.
+    4. The root for budget t is `(sizes, 0, t, ALICE)`, so Alice wins with
+       t colors iff t >= chi_g.
+    5. It rests on `canonicalize` being exact, which the tests check against
+       the vertex oracle.
+
+    The walk starts at the a1 ceiling, min(n, `fresh_starter_budget`),
+    which is won, and searches `won - 1, won - 2, ...` until the first
+    loss; a budget below k is `decided` lost at the root, so it ends by
+    k - 1. Keys hold colors left, not the budget, so one `memo` serves
+    every budget and shape."""
     memo = {} if memo is None else memo
-    won = min(fresh_starter_budget(partition), partition.n + 1)
-    searched = [_value((partition.sizes, 0, t, ALICE), memo) for t in range(1, won)]
-    wins = tuple(searched) + (True,) * (partition.n + 1 - won)
-    return WinVector(partition, wins)
+    won = min(fresh_starter_budget(partition), partition.n)
+    while _value((partition.sizes, 0, won - 1, ALICE), memo):
+        won -= 1
+    return WinVector(partition, won)
 
 
 def chi_g(partition: Partition) -> int:
@@ -246,6 +246,15 @@ class _RestrictedSearch:
     all legal moves. The value is True iff the pinned seat reaches its goal
     against every line: an AND over every allowed move at every position,
     so the first lost position decides it and only won keys are stored.
+
+    No allowed move reads the colors left at a position `decided` leaves
+    open, where u >= 1 and left >= u >= 1. The free seat's `legal_moves`
+    offers a fresh color whenever one is left. The one clause that reads the
+    budget, b1's `_echo_or_fill`, takes a new color while `used < budget`,
+    which always holds there, and `acomposite` reads no budget. So, as in
+    `win_vector`'s argument, with one more color every position keeps its
+    allowed moves, and `decided` is a threshold in `left`: an Alice rule's
+    verdict is an up-set in the budget, and a Bob rule's a down-set.
     """
 
     def __init__(self, fixed_side: str, mode: str):
@@ -409,8 +418,7 @@ def refute_restricted(
     strategy = as_strategy(strategy)
     if fixed_side not in (ALICE, BOB):
         raise ValueError(f"fixed_side must be {ALICE!r} or {BOB!r}")
-    if not 1 <= budget <= partition.n:
-        raise ValueError(f"budget must be in 1..{partition.n}")
+    _check_budget(partition, budget)
     check_seat(strategy, partition, fixed_side)
     if strategy.side is None:  # random, human: they pick by part order, which keys drop
         raise InapplicableStrategyError(f"{strategy.id} is not an analyzed rule")

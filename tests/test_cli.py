@@ -530,6 +530,7 @@ class TestCache:
             "2,1;3;01",  # well formed, but the table says chi_g(K_{2,1}) = 2
             "3,1,1;3;110",  # no table value; Alice must win with n = 5 colors
             "5,5,1,1;8;000011111",  # no table value; Alice must win with 2k - 1 = 7
+            "3,2,1,1;4;1011",  # no table value; bits are not a threshold
         ],
     )
     def test_inconsistent_record_is_usage_error(self, tmp_path, monkeypatch, capsys, line):

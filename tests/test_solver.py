@@ -172,16 +172,49 @@ def test_decided_keys_match_the_plain_minimax():
     assert beyond_leaves
 
 
+def test_won_keys_stay_won_with_one_more_color():
+    """`win_vector`'s argument on the law-free reference: on every pooled key
+    reachable from every shape with n <= 14, at every budget, a key Alice
+    wins she also wins with one more color left."""
+    plain: dict = {}
+    for partition in all_partitions(14):
+        for budget in range(1, partition.n + 1):
+            pooled_minimax((partition.sizes, 0, budget, ALICE), plain)
+    won = [key for key, wins in plain.items() if wins]
+    for unstarted, pool, left, turn in won:
+        assert pooled_minimax((unstarted, pool, left + 1, turn), plain), (unstarted, pool, left)
+
+
 def test_settled_budgets_match_the_search():
-    """`win_vector` settles budgets from 2k - 1 up without search; on every
-    shape with n <= 12 each budget matches `alice_wins`, the plain
-    one-budget search."""
+    """`win_vector` searches only below min(n, 2k - 1), down to the first
+    loss; on every shape with n <= 12 each budget matches `alice_wins`, the
+    plain one-budget search, so the theorem holds at every root."""
     for partition in all_partitions(12):
-        searched = tuple(alice_wins(partition, t) for t in range(1, partition.n + 1))
-        assert win_vector(partition).wins == searched, partition
+        vec = win_vector(partition)
+        for t in range(1, partition.n + 1):
+            assert vec.alice_wins(t) == alice_wins(partition, t), (partition, t)
 
 
 RULES = ("a1", "a1p", "a2", "a2p", "a3", "a3p", "acomposite", "b1", "b1p")
+
+
+@pytest.mark.parametrize("mode", [DETERMINISTIC, UNIVERSAL])
+def test_pinned_verdicts_are_monotone_in_the_budget(mode):
+    """`_RestrictedSearch`'s argument: on every applicable shape with n <= 9,
+    an Alice rule's verdicts over budgets 1..n are an up-set, and a Bob
+    rule's a down-set."""
+    for partition in all_partitions(9):
+        for name in RULES:
+            strategy = get_strategy(name)
+            if not strategy.is_applicable(partition):
+                continue
+            verdicts = [
+                restricted_value(partition, t, strategy.side, strategy, mode)
+                for t in range(1, partition.n + 1)
+            ]
+            if strategy.side == BOB:
+                verdicts.reverse()
+            assert verdicts == sorted(verdicts), (partition, name, verdicts)
 
 
 def multiset_key(rule, state):
@@ -411,11 +444,11 @@ class TestWinVector:
             t for t in range(1, partition.n + 1) if vec.alice_wins(t)
         )
 
-    def test_monotone_flag_and_anomalies(self):
-        vec = WinVector(Partition.of([2, 2]), (False, False, True, True))
-        assert vec.monotone and vec.anomalies == ()
-        broken = WinVector(Partition.of([2, 2]), (False, True, False, True))
-        assert not broken.monotone and broken.anomalies == (2,)
+    @pytest.mark.parametrize("budget", [0, -1, 7])
+    def test_budget_outside_1_to_n_is_refused(self, budget):
+        vec = win_vector(Partition.of([3, 3]))
+        with pytest.raises(ValueError, match=re.escape("budget must be in 1..6")):
+            vec.alice_wins(budget)
 
     def test_deep_game_needs_no_recursion(self):
         # 1200 moves deep; the table value of K_{600,600} is 3.
@@ -455,12 +488,16 @@ class TestWinVector:
         for line in ("3,3;3", "3,3;3;01111;9", "3,3;x;01111"):
             with pytest.raises(ValueError, match=re.escape(f"bad cache line: {line!r}")):
                 WinVector.from_cache_line(line)
-        with pytest.raises(ValueError, match="Alice losing with t >= 3 colors"):
+        with pytest.raises(ValueError, match="bits are not the threshold of chi_g 3"):
             WinVector.from_cache_line("3,3;3;00000")
-        with pytest.raises(ValueError, match="Alice losing with t >= 7 colors"):
+        with pytest.raises(ValueError, match=re.escape("chi_g outside 4..7")):
             WinVector.from_cache_line("5,5,1,1;8;000011111")
-        with pytest.raises(ValueError, match="Alice losing with t >= 4 colors"):
-            WinVector.from_cache_line("2,1,1;3;10")  # 2k - 1 = 5 > n = 4
+        with pytest.raises(ValueError, match=re.escape("chi_g outside 3..4")):
+            WinVector.from_cache_line("2,1,1;5;00")  # 2k - 1 = 5 > n = 4
+        with pytest.raises(ValueError, match="bits are not the threshold of chi_g 3"):
+            WinVector.from_cache_line("2,1,1;3;10")
+        with pytest.raises(ValueError, match="bits are not the threshold of chi_g 4"):
+            WinVector.from_cache_line("3,2,1,1;4;1011")  # not monotone; chi_g is 5
 
     def test_load_cache_missing_file(self, tmp_path):
         assert load_cache(str(tmp_path / "absent")) == {}
