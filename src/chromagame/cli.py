@@ -28,6 +28,7 @@ from .core import (
 )
 from .formulas import bounds, table1_chi_g, table1_report
 from .harness import (
+    FILTERS,
     GameRecord,
     MoveRecord,
     check_b1p_conjecture,
@@ -140,6 +141,8 @@ def cmd_solve(args, out, inp) -> int:
         vec = cache[str(partition)] = win_vector(partition)
         if cache_path:
             _save_cache_checked(cache_path, cache)
+    elif not vec.confirmed():
+        raise UsageError(f"bad cache file {cache_path}: the search refutes {vec.to_cache_line()!r}")
     payload = _solve_payload(partition, vec)
     if args.format == "json":
         _emit(out, json.dumps(payload))
@@ -423,11 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="solve all shapes up to a vertex count")
     p.set_defaults(handler=cmd_scan)
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument(
-        "--filter",
-        choices=("all", "no-singletons", "with-singletons"),
-        default="all",
-    )
+    p.add_argument("--filter", choices=FILTERS, default="all")
     p.add_argument("--out")
 
     p = sub.add_parser("conjecture", help="run a conjecture check")

@@ -24,6 +24,7 @@ from .formulas import GUARANTEES, table1_chi_g
 from .solver import (
     DETERMINISTIC,
     alice_wins,
+    check_mode,
     refute_restricted,
     restricted_value,
     win_vector,
@@ -224,6 +225,7 @@ def verify_guarantee(
 
 # ---------------------------------------------------------------------------
 # partition enumeration and scanning
+FILTERS = ("all", "no-singletons", "with-singletons")  # for `all_partitions`
 
 
 def partitions_of(n: int, largest: Optional[int] = None) -> Iterator[tuple[int, ...]]:
@@ -240,6 +242,8 @@ def partitions_of(n: int, largest: Optional[int] = None) -> Iterator[tuple[int, 
 
 def all_partitions(max_n: int, filter_: str = "all") -> list[Partition]:
     """Every partition with n <= max_n, in canonical scan order."""
+    if filter_ not in FILTERS:
+        raise ValueError(f"filter must be one of {FILTERS}, not {filter_!r}")
     out = []
     for n in range(1, max_n + 1):
         for sizes in partitions_of(n):
@@ -326,6 +330,7 @@ class SuiteCase:
 def guarantee_suite(max_n: int, mode: str = DETERMINISTIC) -> list[SuiteCase]:
     """Verify every guarantee of `GUARANTEES` that applies to every shape with
     r_k >= 2 and n <= max_n, at the budget it names (if that is in 1..n)."""
+    check_mode(mode)
     cases: list[SuiteCase] = []
     for partition in all_partitions(max_n, "no-singletons"):
         for g in GUARANTEES:
@@ -357,6 +362,7 @@ class ConjectureReport:
 def check_b1p_conjecture(max_n: int, mode: str = DETERMINISTIC) -> ConjectureReport:
     """Whenever optimal play wins for Bob (budget below the exact value),
     the singleton-aware echo rule must still win for him."""
+    check_mode(mode)
     violations: list[VerifyResult] = []
     cases = 0
     memo: dict[tuple, bool] = {}

@@ -17,7 +17,6 @@ from .core import (
     apply_move,
     initial_state,
     legal_moves,
-    play,
     status,
 )
 from .formulas import table1_chi_g
@@ -65,7 +64,8 @@ def decided(unstarted: int, left: int) -> Optional[bool]:
     is unstarted again and `left - unstarted` never rises: every position
     reachable from a decided one is decided alike. Every terminal position
     is decided: a full board has no part unstarted, and Bob wins with a
-    part unstarted and no color left.
+    part unstarted and no color left. So the pinned search's walk may go on
+    from a lost position by any moves and end in a loss.
     """
     if not unstarted or left < unstarted:
         return not unstarted
@@ -111,6 +111,11 @@ def _check_budget(partition: Partition, budget: int) -> None:
         raise ValueError(f"budget must be in 1..{partition.n}")
 
 
+def check_mode(mode: str) -> None:
+    if mode not in (DETERMINISTIC, UNIVERSAL):
+        raise ValueError(f"mode must be {DETERMINISTIC!r} or {UNIVERSAL!r}, not {mode!r}")
+
+
 def alice_wins(partition: Partition, budget: int) -> bool:
     """True iff Alice has a winning strategy with exactly `budget` colors."""
     _check_budget(partition, budget)
@@ -136,10 +141,16 @@ def fresh_starter_budget(partition: Partition) -> int:
 @dataclass(frozen=True)
 class WinVector:
     """Optimal-play outcome for every budget t = 1..n on one partition:
-    Alice wins iff t >= chi_g (see `win_vector`)."""
+    Alice wins iff t >= chi_g (see `win_vector`). chi_g lies in k..min(n,
+    2k - 1), as k colors are needed and `fresh_starter_budget` suffices."""
 
     partition: Partition
     chi_g: int
+
+    def __post_init__(self):
+        k, ceiling = self.partition.k, min(self.partition.n, fresh_starter_budget(self.partition))
+        if not k <= self.chi_g <= ceiling:
+            raise ValueError(f"chi_g outside {k}..{ceiling} on {self.partition}: {self.chi_g}")
 
     def alice_wins(self, budget: int) -> bool:
         _check_budget(self.partition, budget)
@@ -159,12 +170,8 @@ class WinVector:
             partition, chi = Partition.parse(part_text), int(chi_text)
         except ValueError:
             raise ValueError(f"bad cache line: {line!r}") from None
-        # Cheap consistency checks, not a re-solve: chi_g lies between k and
-        # the a1 ceiling, the bits are its threshold, and the table is exact
-        # where it applies.
-        k, ceiling = partition.k, min(partition.n, fresh_starter_budget(partition))
-        if not k <= chi <= ceiling:
-            raise ValueError(f"cache line has chi_g outside {k}..{ceiling}: {line!r}")
+        # Cheap checks of outside input; `confirmed` is the re-solve. The
+        # constructor bounds chi_g, and the table is exact where it applies.
         vec = cls(partition, chi)
         if bits != vec.bitstring():
             raise ValueError(f"cache line bits are not the threshold of chi_g {chi}: {line!r}")
@@ -172,6 +179,13 @@ class WinVector:
         if table is not None and table != chi:
             raise ValueError(f"cache line contradicts the table value {table}: {line!r}")
         return vec
+
+    def confirmed(self) -> bool:
+        """True iff the search finds Alice winning with chi_g colors and losing
+        with chi_g - 1, which proves chi_g by `win_vector`'s argument."""
+        sizes, memo = self.partition.sizes, {}
+        won = _value((sizes, 0, self.chi_g, ALICE), memo)
+        return won and not _value((sizes, 0, self.chi_g - 1, ALICE), memo)
 
 
 def win_vector(partition: Partition, memo: Optional[dict[tuple, bool]] = None) -> WinVector:
@@ -329,24 +343,30 @@ class _RestrictedSearch:
     def _open(self, state: GameState, rule: Strategy) -> bool | tuple:
         """The position's value if it is settled or known won, else a stack
         frame: its key, the position, the rule and an iterator over its moves.
-        A position is settled when it is `decided`, which covers every
-        terminal position, so `status` is not asked."""
+        A position `decided` for the pinned seat is settled won. One decided
+        against it is settled lost only once play has ended, the one place
+        `status` is asked, so `refutation` walks on through it."""
         settled = decided(state.colored.count(0), state.budget - state.used)
-        if settled is not None:
-            return settled == self.goal_alice
+        if settled == self.goal_alice:
+            return True
+        if settled is not None and status(state) is not GameStatus.ONGOING:
+            return False
         key = self.key(state, rule)
         if key in self.won:
             return True
         return (key, state, rule, iter(self.moves_for(state, rule)))
 
-    def _first_loss(
-        self, state: GameState, rule: Strategy
-    ) -> Optional[tuple[list[Move], GameState, Strategy]]:
-        """Walk the allowed moves depth first on an explicit stack, storing
-        the keys of positions the pinned seat has won. None if it wins every
-        position; else stop at the first lost position and return the moves
-        on the stack, which lead to it, with that position and the rule at
-        it."""
+    def refutation(self, state: GameState, rule: Strategy) -> Optional[list[Move]]:
+        """None if the pinned seat reaches its goal from `state`, where
+        `rule` is the pinned rule as it stands; otherwise the first failing
+        line in search order (at each position, the first allowed move that
+        is not won), walked to the end of play so it replays to a full game.
+
+        The walk is depth first on an explicit stack and stores the keys of
+        positions the pinned seat has won. Once it reaches a position
+        `decided` against the pinned seat, no continuation is won, so it goes
+        down by each frame's first move to a lost terminal, where `_open`
+        stops it. The moves on the stack are the line."""
         found, stack = self._open(state, rule), []
         while found is not False:
             if found is not True:
@@ -364,34 +384,7 @@ class _RestrictedSearch:
             rule = rule.advance(state)
             found = self._open(state, rule)
         states = [frame[1] for frame in stack] + [state]
-        return [s.last_move for s in states[1:]], state, rule
-
-    def refutation(self, state: GameState, rule: Strategy) -> Optional[list[Move]]:
-        """None if the pinned seat reaches its goal from `state`, where
-        `rule` is the pinned rule as it stands; otherwise the first failing
-        line in search order (at each position, the first allowed move that
-        is not won), played out to a terminal so it replays to a full
-        game.
-
-        The walk gives the line up to the first lost position. From there
-        each turn plays the first move `moves_for` allows. A lost position
-        `_open` settles is `decided`, and every move from it keeps it so, so
-        this is still the first failing line.
-        """
-        loss = self._first_loss(state, rule)
-        if loss is None:
-            return None
-        line, state, rule = loss
-
-        def pick(current: GameState) -> Optional[Move]:
-            nonlocal rule
-            if current is not state:
-                rule = rule.advance(current)
-            if status(current) is not GameStatus.ONGOING:
-                return None
-            return self.moves_for(current, rule)[0]
-
-        return line + [move for _before, move, _after in play(state, pick)]
+        return [s.last_move for s in states[1:]]
 
 
 def restricted_value(
@@ -414,11 +407,12 @@ def refute_restricted(
     mode: str = DETERMINISTIC,
 ) -> Optional[list[Move]]:
     """None when the pinned seat's goal is guaranteed; otherwise the first
-    failing line in deterministic search order, played out to a terminal."""
+    failing line in deterministic search order, walked to the end of play."""
     strategy = as_strategy(strategy)
     if fixed_side not in (ALICE, BOB):
         raise ValueError(f"fixed_side must be {ALICE!r} or {BOB!r}")
     _check_budget(partition, budget)
+    check_mode(mode)
     check_seat(strategy, partition, fixed_side)
     if strategy.side is None:  # random, human: they pick by part order, which keys drop
         raise InapplicableStrategyError(f"{strategy.id} is not an analyzed rule")

@@ -541,6 +541,18 @@ class TestCache:
         assert code == 2 and text == ""
         assert capsys.readouterr().err.startswith(f"error: bad cache file {path}")
 
+    @pytest.mark.parametrize("line", ["5,5,1,1;4;111111111", "5,5,1,1;6;001111111"])
+    def test_record_the_search_refutes_is_usage_error(self, tmp_path, monkeypatch, capsys, line):
+        """Both records pass the load-time checks; chi_g(K_{5,5,1,1}) is 5."""
+        path = tmp_path / "wins.cache"
+        path.write_text(line + "\n")
+        monkeypatch.setenv("CHROMA_CACHE", str(path))
+        assert invoke(["solve", "5,5,1,1"]) == (2, "")
+        assert capsys.readouterr().err.startswith(f"error: bad cache file {path}: ")
+        assert path.read_text() == line + "\n"
+        path.write_text("")
+        assert invoke(["solve", "5,5,1,1"])[1].startswith("chi_g(K_{5,5,1,1}) = 5\n")
+
     def test_malformed_record_names_the_line(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "wins.cache"
         path.write_text("3,3;3\n")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from chromagame import solver
 from chromagame.core import (
     ALICE,
     BOB,
@@ -144,6 +145,11 @@ class TestPartitions:
         assert len(list(partitions_of(6))) == 11
         assert len(list(partitions_of(13))) == 101
 
+    @pytest.mark.parametrize("filter_", ["no-singleton", "All", ""])
+    def test_unknown_filter_is_refused(self, filter_):
+        with pytest.raises(ValueError, match="filter must be one of"):
+            all_partitions(6, filter_)
+
     def test_filters(self):
         n6 = [p for p in all_partitions(6) if p.n == 6]
         assert len(n6) == 11
@@ -232,6 +238,27 @@ class TestSuites:
                 assert vec.alice_wins(case.budget), case
             else:
                 assert not vec.alice_wins(case.budget), case
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda mode: verify_guarantee(Partition((3, 3, 3)), 5, ALICE, "a2", mode),
+        lambda mode: refute_restricted(Partition((3, 3, 3)), 5, ALICE, "a2", mode),
+        lambda mode: guarantee_suite(6, mode),
+        lambda mode: check_b1p_conjecture(6, mode),
+    ],
+    ids=["verify_guarantee", "refute_restricted", "guarantee_suite", "check_b1p_conjecture"],
+)
+@pytest.mark.parametrize("mode", ["Universal", "random", ""])
+def test_unknown_mode_is_refused_before_any_search(check, mode, monkeypatch):
+    def no_search(*_args):
+        raise AssertionError("searched before checking the mode")
+
+    monkeypatch.setattr(solver, "_value", no_search)
+    monkeypatch.setattr(solver, "apply_move", no_search)
+    with pytest.raises(ValueError, match="mode must be 'deterministic' or 'universal'"):
+        check(mode)
 
 
 class TestConjectures:

@@ -38,6 +38,7 @@ from chromagame.solver import (
     alice_wins,
     canonicalize,
     chi_g,
+    decided,
     load_cache,
     refute_restricted,
     restricted_value,
@@ -260,7 +261,7 @@ def assert_pinned_search_exact(partition, name, mode, budget):
                     moves = [rule.choose(state)]
                 children = [apply_move(state, m) for m in moves]
                 plain[key] = all([value(child, rule.advance(child)) for child in children])
-            assert (search._first_loss(state, rule) is None) == plain[key], where
+            assert (search.refutation(state, rule) is None) == plain[key], where
         return plain[key]
 
     value(initial_state(partition, budget), strategy)
@@ -295,28 +296,38 @@ def test_pinned_search_values_acomposite(budget):
         assert_pinned_search_exact(partition, "acomposite", mode, budget)
 
 
-def count_search_moves(monkeypatch):
-    """Count the solver's `apply_move` calls. Returns `run(search, *args)`,
-    which gives the search's result and the moves it applied."""
-    calls = 0
+def record_search_moves(monkeypatch):
+    """Record the solver's `apply_move` calls as `(before, move, after)` in
+    the returned list, which the caller clears between searches."""
+    calls = []
 
-    def counted(state, move):
-        nonlocal calls
-        calls += 1
-        return apply_move(state, move)
+    def recorded(state, move):
+        after = apply_move(state, move)
+        calls.append((state, move, after))
+        return after
 
-    def run(search, *args):
-        nonlocal calls
-        calls = 0
-        return search(*args), calls
-
-    monkeypatch.setattr(solver, "apply_move", counted)
-    return run
+    monkeypatch.setattr(solver, "apply_move", recorded)
+    return calls
 
 
-def first_loss(partition, budget, side, mode, rule):
-    """A bare pinned-search walk from the empty board."""
-    return _RestrictedSearch(side, mode)._first_loss(initial_state(partition, budget), rule)
+def assert_walked_to_the_end(calls, line, side, start):
+    """A refutation is one walk: from the first move the search applies into
+    a position `decided` against the pinned seat, its `(before, move,
+    after)` calls are the rest of `line` replayed from `start`, in order,
+    and the last one ends play."""
+    against = side == BOB  # the `decided` value that loses for the pinned seat
+    first = next(
+        i
+        for i, (_before, _move, after) in enumerate(calls)
+        if decided(after.colored.count(0), after.budget - after.used) is against
+    )
+    replay, state = [], start
+    for move in line:
+        replay.append((state, move, apply_move(state, move)))
+        state = replay[-1][2]
+    tail = calls[first:]
+    assert tail == replay[len(replay) - len(tail) :]
+    assert status(state) is not GameStatus.ONGOING
 
 
 @pytest.mark.parametrize("sizes", [tuple(p.sizes) for p in all_partitions(7)])
@@ -325,9 +336,8 @@ def test_refutations_replay_to_the_pinned_seat_loss(sizes, monkeypatch):
     play (its own move, or in universal mode an admissible one, at each of
     its turns) that replays through `record_playout` to the pinned seat's
     loss; `restricted_value` is False exactly when there is such a line.
-    A refutation costs one walk: `refute_restricted` applies exactly as
-    many moves in the search as a bare `_first_loss` walk."""
-    run = count_search_moves(monkeypatch)
+    The search walks the whole line itself (`assert_walked_to_the_end`)."""
+    calls = record_search_moves(monkeypatch)
     partition = Partition(sizes)
     for name in RULES:
         strategy = get_strategy(name)
@@ -339,13 +349,15 @@ def test_refutations_replay_to_the_pinned_seat_loss(sizes, monkeypatch):
             for budget in range(1, partition.n + 1):
                 case = (partition, budget, side, name, mode)
                 where = (name, mode, budget)
-                line, refuted = run(refute_restricted, *case)
-                _loss, walked = run(first_loss, partition, budget, side, mode, strategy)
                 value = restricted_value(*case)
-                assert (value, refuted) == (line is None, walked), where
+                calls.clear()
+                line = refute_restricted(*case)
+                assert value == (line is None), where
                 if line is None:
                     continue
-                state, rule = initial_state(partition, budget), strategy
+                start = initial_state(partition, budget)
+                assert_walked_to_the_end(calls, line, side, start)
+                state, rule = start, strategy
                 for move in line:
                     if state.turn == side:
                         allowed = rule.admissible(state) if mode == UNIVERSAL else [
@@ -361,18 +373,19 @@ def test_refutations_replay_to_the_pinned_seat_loss(sizes, monkeypatch):
 @pytest.mark.parametrize("k", [6, 7, 8])
 def test_nonoptimality_refutations_walk_once(k, monkeypatch):
     """Each simple Alice rule loses K_{4,3^(k-3),1,1} with 2k - 4 colors.
-    Its refutation costs the search exactly the moves a bare `_first_loss`
-    walk applies and replays through `record_playout` to Bob's win."""
-    run = count_search_moves(monkeypatch)
+    The search walks its refutation to the end of play in one walk, and the
+    line replays through `record_playout` to Bob's win."""
+    calls = record_search_moves(monkeypatch)
     partition = Partition((4,) + (3,) * (k - 3) + (1, 1))
     budget = 2 * k - 4
     for name in NONOPT_ALICE_RULES:
         if not get_strategy(name).is_applicable(partition):
             continue
-        line, refuted = run(refute_restricted, partition, budget, ALICE, name)
-        _loss, walked = run(first_loss, partition, budget, ALICE, DETERMINISTIC, get_strategy(name))
         value = restricted_value(partition, budget, ALICE, name)
-        assert line is not None and not value and refuted == walked, (name, refuted, walked)
+        calls.clear()
+        line = refute_restricted(partition, budget, ALICE, name)
+        assert line is not None and not value, name
+        assert_walked_to_the_end(calls, line, ALICE, initial_state(partition, budget))
         record = record_playout(partition, budget, line, ALICE, BOB)
         assert record.outcome == GameStatus.BOB_WON.value, name
 
@@ -449,6 +462,11 @@ class TestWinVector:
         vec = win_vector(Partition.of([3, 3]))
         with pytest.raises(ValueError, match=re.escape("budget must be in 1..6")):
             vec.alice_wins(budget)
+
+    @pytest.mark.parametrize("chi", [0, 4])
+    def test_chi_g_outside_k_to_the_a1_ceiling_is_refused(self, chi):
+        with pytest.raises(ValueError, match=re.escape("chi_g outside 2..3")):
+            WinVector(Partition((3, 3)), chi)
 
     def test_deep_game_needs_no_recursion(self):
         # 1200 moves deep; the table value of K_{600,600} is 3.
