@@ -2,9 +2,12 @@
 
 Subcommands: solve, formula, bounds, simulate, play, verify, scan,
 conjecture. Exit codes: 0 = success or pass, 1 = a verification failed or a
-counterexample was found (it is printed), 2 = usage error. The CHROMA_CACHE
-environment variable names an optional win-vector cache file that solve
-reads and writes; no other command uses it.
+counterexample was found (it is printed), 2 = usage error, an `InputError`
+raised by the library or by a check here; `run` is the one place that
+turns it into exit 2. The CHROMA_CACHE environment variable names an
+optional win-vector cache file. Only solve uses it: solve always solves,
+reads the cache only to refuse a record that contradicts its answer, and
+writes a record on a miss.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .core import (
     ALICE,
     BOB,
     GameState,
+    InputError,
     Move,
     Partition,
     fixing_move_played,
@@ -48,12 +52,7 @@ from .solver import (
     save_cache,
     win_vector,
 )
-from .strategies import (
-    HumanPlayer,
-    InapplicableStrategyError,
-    Strategy,
-    get_strategy,
-)
+from .strategies import HumanPlayer, Strategy, get_strategy
 
 CACHE_ENV = "CHROMA_CACHE"
 MAX_VERTICES = 100_000  # the largest partition any command accepts
@@ -61,17 +60,10 @@ MAX_SOLVE_WORK = 1_000_000  # the largest `solve_work` that solve searches
 MAX_NONOPT_K = 18  # the largest `conjecture nonopt --k`; about 3 s on 2 CPUs
 
 
-class UsageError(Exception):
-    pass
-
-
 def _partition(text: str) -> Partition:
-    try:
-        partition = Partition.parse(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    partition = Partition.parse(text)
     if partition.n > MAX_VERTICES:
-        raise UsageError(f"{text!r} has {partition.n} vertices; at most {MAX_VERTICES} are accepted")
+        raise InputError(f"{text!r} has {partition.n} vertices; at most {MAX_VERTICES} are accepted")
     return partition
 
 
@@ -84,27 +76,20 @@ def solve_work(partition: Partition) -> int:
     return math.prod(m + 1 for m in Counter(partition.sizes).values()) * partition.n * partition.k
 
 
-def _strategy(name: str) -> Strategy:
-    try:
-        return get_strategy(name)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _load_cache_checked(path: str):
     try:
         return load_cache(path)
     except OSError as exc:
-        raise UsageError(f"cannot read cache file {path}: {exc.strerror}") from None
-    except ValueError as exc:
-        raise UsageError(f"bad cache file {path}: {exc}") from None
+        raise InputError(f"cannot read cache file {path}: {exc.strerror}") from None
+    except ValueError as exc:  # a bad record, or bytes that are not UTF-8
+        raise InputError(f"bad cache file {path}: {exc}") from None
 
 
 def _save_cache_checked(path: str, cache: dict[str, WinVector]) -> None:
     try:
         save_cache(path, cache)
     except OSError as exc:
-        raise UsageError(f"cannot write cache file {path}: {exc.strerror}") from None
+        raise InputError(f"cannot write cache file {path}: {exc.strerror}") from None
 
 
 def _emit(out, text: str) -> None:
@@ -129,20 +114,22 @@ def cmd_solve(args, out, inp) -> int:
     partition = _partition(args.partition)
     work = solve_work(partition)
     if work > MAX_SOLVE_WORK:
-        raise UsageError(
+        raise InputError(
             f"{args.partition!r} is too large to solve: its work estimate (the product of "
             f"each distinct part size's count + 1, times n, times k) is {work}; "
             f"at most {MAX_SOLVE_WORK} is accepted"
         )
     cache_path = os.environ.get(CACHE_ENV)
     cache = _load_cache_checked(cache_path) if cache_path else {}
-    vec = cache.get(str(partition))
-    if vec is None:
-        vec = cache[str(partition)] = win_vector(partition)
-        if cache_path:
-            _save_cache_checked(cache_path, cache)
-    elif not vec.confirmed():
-        raise UsageError(f"bad cache file {cache_path}: the search refutes {vec.to_cache_line()!r}")
+    vec = win_vector(partition)
+    cached = cache.get(str(partition))
+    if cached is not None and cached != vec:
+        raise InputError(
+            f"bad cache file {cache_path}: the search refutes {cached.to_cache_line()!r}"
+        )
+    if cached is None and cache_path:
+        cache[str(partition)] = vec
+        _save_cache_checked(cache_path, cache)
     payload = _solve_payload(partition, vec)
     if args.format == "json":
         _emit(out, json.dumps(payload))
@@ -210,16 +197,13 @@ def _game_args(args) -> tuple[Partition, Strategy, Strategy]:
     """The board and both seats of a simulate or play command."""
     partition = _partition(args.partition)
     if args.colors < 1:
-        raise UsageError("color budget must be at least 1")
-    return partition, _strategy(args.alice), _strategy(args.bob)
+        raise InputError("color budget must be at least 1")
+    return partition, get_strategy(args.alice), get_strategy(args.bob)
 
 
 def cmd_simulate(args, out, inp) -> int:
     partition, alice, bob = _game_args(args)
-    try:
-        record = simulate(partition, args.colors, alice, bob, seed=args.seed)
-    except InapplicableStrategyError as exc:
-        raise UsageError(str(exc)) from None
+    record = simulate(partition, args.colors, alice, bob, seed=args.seed)
     if args.format == "json":
         _emit(out, json.dumps(record.to_dict()))
     else:
@@ -256,10 +240,7 @@ def cmd_play(args, out, inp) -> int:
     for seat in (alice, bob):
         if isinstance(seat, HumanPlayer):
             seat.picker = lambda state, moves: _prompt_move(state, moves, inp, out)
-    try:
-        seats = seat_picker(partition, alice, bob)
-    except InapplicableStrategyError as exc:
-        raise UsageError(str(exc)) from None
+    seats = seat_picker(partition, alice, bob)
     played: list[MoveRecord] = []
 
     def pick(state: GameState) -> Optional[Move]:
@@ -287,12 +268,9 @@ def cmd_play(args, out, inp) -> int:
 
 def cmd_verify(args, out, inp) -> int:
     partition = _partition(args.partition)
-    strategy = _strategy(args.strategy)
+    strategy = get_strategy(args.strategy)
     mode = UNIVERSAL if args.universal else DETERMINISTIC
-    try:
-        result = verify_guarantee(partition, args.colors, args.side, strategy, mode)
-    except (InapplicableStrategyError, ValueError) as exc:
-        raise UsageError(str(exc)) from None
+    result = verify_guarantee(partition, args.colors, args.side, strategy, mode)
     if result.passed:
         _emit(
             out,
@@ -314,12 +292,12 @@ def _write_out(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+        raise InputError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _check_max_n(max_n: int) -> None:
     if max_n < 1:
-        raise UsageError(f"--max-n must be at least 1, got {max_n}")
+        raise InputError(f"--max-n must be at least 1, got {max_n}")
 
 
 def cmd_scan(args, out, inp) -> int:
@@ -357,11 +335,8 @@ def cmd_conjecture_b1p(args, out, inp) -> int:
 
 def cmd_conjecture_nonopt(args, out, inp) -> int:
     if args.k > MAX_NONOPT_K:  # checked before K_{4,3^(k-3),1,1} is built
-        raise UsageError(f"--k {args.k} is too large; at most {MAX_NONOPT_K} is accepted")
-    try:
-        report = check_nonoptimality_theorem(args.k)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise InputError(f"--k {args.k} is too large; at most {MAX_NONOPT_K} is accepted")
+    report = check_nonoptimality_theorem(args.k)
     _emit(out, f"non-optimality check on {report.partition.label()} at {report.budget} colors:")
     _emit(out, f"  optimal play wins: {report.solver_upper_ok}")
     _emit(out, f"  acomposite wins:   {report.composite_ok}")
@@ -455,7 +430,7 @@ def run(argv: Optional[list[str]] = None, out=None, inp=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.handler(args, out, inp)
-    except UsageError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

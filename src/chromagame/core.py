@@ -40,6 +40,11 @@ class GameStatus(enum.Enum):
     BOB_WON = "bob_won"
 
 
+class InputError(ValueError):
+    """A caller's argument is outside what the library accepts; the command
+    line reports it as a usage error (exit 2)."""
+
+
 class IllegalMoveError(ValueError):
     """A move violated the rules; the message carries the reason."""
 
@@ -57,11 +62,11 @@ class Partition:
     def __post_init__(self) -> None:
         object.__setattr__(self, "sizes", tuple(self.sizes))
         if not self.sizes:
-            raise ValueError("partition must have at least one part")
-        if any(not isinstance(r, int) or isinstance(r, bool) or r < 1 for r in self.sizes):
-            raise ValueError("part sizes must be positive integers")
+            raise InputError("partition must have at least one part")
+        if any(type(r) is not int or r < 1 for r in self.sizes):  # bool subclasses int
+            raise InputError("part sizes must be positive integers")
         if any(a < b for a, b in zip(self.sizes, self.sizes[1:])):
-            raise ValueError("part sizes must be sorted non-increasing")
+            raise InputError("part sizes must be sorted non-increasing")
 
     @classmethod
     def of(cls, sizes: Iterable[int]) -> "Partition":
@@ -75,15 +80,15 @@ class Partition:
         digits are rejected."""
         items = [s.strip() for s in text.split(",")]
         if not items or any(not s for s in items):
-            raise ValueError(f"malformed partition string: {text!r}")
+            raise InputError(f"malformed partition string: {text!r}")
         if not all(s.isascii() and s.isdecimal() for s in items):
-            raise ValueError(f"part sizes must be written with the digits 0-9: {text!r}")
+            raise InputError(f"part sizes must be written with the digits 0-9: {text!r}")
         try:
             sizes = [int(s) for s in items]
         except ValueError:  # more digits than int() converts
-            raise ValueError(f"part size too large: {text!r}") from None
+            raise InputError(f"part size too large: {text!r}") from None
         if any(r < 1 for r in sizes):
-            raise ValueError(f"part sizes must be >= 1: {text!r}")
+            raise InputError(f"part sizes must be >= 1: {text!r}")
         return cls.of(sizes)
 
     @property
@@ -126,11 +131,11 @@ class _GameFields(NamedTuple):
 class GameState(_GameFields):
     """Immutable mid-game position; all operations are pure functions.
 
-    Building a state checks it: one count per part, each in 0..size, a
-    budget of at least 1, `used` between the number of started parts (each
-    took its own first color) and the budget, and a last move, if any, into
-    a part that has a colored vertex. `apply_move` builds its
-    successors as plain tuples, without these checks.
+    Building a state checks it: integer counts, budget and `used`, one
+    count per part, each in 0..size, a budget of at least 1, `used` between
+    the number of started parts (each took its own first color) and the
+    budget, and a last move, if any, into a part that has a colored vertex.
+    `apply_move` builds its successors as plain tuples, without these checks.
     """
 
     __slots__ = ()
@@ -138,21 +143,23 @@ class GameState(_GameFields):
     def __new__(cls, partition, colored, budget, used=0, last_move=None):
         colored = tuple(colored)
         sizes = partition.sizes
+        if not all(type(x) is int for x in (*colored, budget, used)):
+            raise InputError(f"counts, budget and used must be ints: {colored} {budget!r} {used!r}")
         if len(colored) != len(sizes):
-            raise ValueError(f"{len(colored)} colored counts for {len(sizes)} parts")
+            raise InputError(f"{len(colored)} colored counts for {len(sizes)} parts")
         if not all(0 <= c <= r for c, r in zip(colored, sizes)):
-            raise ValueError(f"colored counts {colored} do not fit part sizes {sizes}")
+            raise InputError(f"colored counts {colored} do not fit part sizes {sizes}")
         if budget < 1:
-            raise ValueError("color budget must be at least 1")
+            raise InputError("color budget must be at least 1")
         started = len(colored) - colored.count(0)
         if not started <= used <= budget:
-            raise ValueError(
+            raise InputError(
                 f"{used} colors used, but {started} parts are started and the budget is {budget}"
             )
         if last_move is not None and not (
             0 <= last_move.part < len(colored) and colored[last_move.part]
         ):
-            raise ValueError(f"last move {last_move} names no part with a colored vertex")
+            raise InputError(f"last move {last_move} names no part with a colored vertex")
         return super().__new__(cls, partition, colored, budget, used, last_move)
 
     @property

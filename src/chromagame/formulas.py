@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Callable, Optional
 
-from .core import ALICE, BOB, Partition
+from .core import ALICE, BOB, InputError, Partition
 
 EXACT = "exact"
 UPPER = "upper"
@@ -88,7 +88,7 @@ def dunn_uniform(k: int, r: int) -> int:
     the opponent always gets a second, fresh-colored move in them.)
     """
     if k < 1 or r < 1:
-        raise ValueError("k and r must be positive")
+        raise InputError("k and r must be positive")
     if k == 1:
         return 1
     if r == 3 and k >= 3:

@@ -13,6 +13,7 @@ from .core import (
     BOB,
     GameState,
     GameStatus,
+    InputError,
     Move,
     Partition,
     fixing_move_played,
@@ -243,7 +244,7 @@ def partitions_of(n: int, largest: Optional[int] = None) -> Iterator[tuple[int, 
 def all_partitions(max_n: int, filter_: str = "all") -> list[Partition]:
     """Every partition with n <= max_n, in canonical scan order."""
     if filter_ not in FILTERS:
-        raise ValueError(f"filter must be one of {FILTERS}, not {filter_!r}")
+        raise InputError(f"filter must be one of {FILTERS}, not {filter_!r}")
     out = []
     for n in range(1, max_n + 1):
         for sizes in partitions_of(n):
@@ -418,7 +419,7 @@ def check_nonoptimality_theorem(k: int) -> NonOptimalityReport:
     """On K_{4,3,...,3,1,1} with k parts: 2k-4 colors suffice, the composite
     opening achieves them, and each simple rule needs more."""
     if k < 6:
-        raise ValueError("needs k >= 6 (at least three parts of size 3)")
+        raise InputError("needs k >= 6 (at least three parts of size 3)")
     sizes = (4,) + (3,) * (k - 3) + (1, 1)
     partition = Partition(sizes)
     budget = 2 * k - 4

@@ -12,6 +12,7 @@ from .core import (
     BOB,
     GameState,
     GameStatus,
+    InputError,
     Move,
     Partition,
     apply_move,
@@ -107,19 +108,21 @@ def _value(key: tuple, memo: dict[tuple, bool]) -> bool:
 
 
 def _check_budget(partition: Partition, budget: int) -> None:
+    if type(budget) is not int:
+        raise InputError(f"budget must be an integer, not {budget!r}")
     if not 1 <= budget <= partition.n:
-        raise ValueError(f"budget must be in 1..{partition.n}")
+        raise InputError(f"budget must be in 1..{partition.n}")
 
 
 def check_mode(mode: str) -> None:
     if mode not in (DETERMINISTIC, UNIVERSAL):
-        raise ValueError(f"mode must be {DETERMINISTIC!r} or {UNIVERSAL!r}, not {mode!r}")
+        raise InputError(f"mode must be {DETERMINISTIC!r} or {UNIVERSAL!r}, not {mode!r}")
 
 
 def alice_wins(partition: Partition, budget: int) -> bool:
-    """True iff Alice has a winning strategy with exactly `budget` colors."""
-    _check_budget(partition, budget)
-    return _value((partition.sizes, 0, budget, ALICE), {})
+    """True iff Alice has a winning strategy with exactly `budget` colors:
+    iff budget >= chi_g, by `win_vector`'s argument."""
+    return win_vector(partition).alice_wins(budget)
 
 
 def fresh_starter_budget(partition: Partition) -> int:
@@ -148,9 +151,11 @@ class WinVector:
     chi_g: int
 
     def __post_init__(self):
+        if type(self.chi_g) is not int:
+            raise InputError(f"chi_g must be an integer, not {self.chi_g!r}")
         k, ceiling = self.partition.k, min(self.partition.n, fresh_starter_budget(self.partition))
         if not k <= self.chi_g <= ceiling:
-            raise ValueError(f"chi_g outside {k}..{ceiling} on {self.partition}: {self.chi_g}")
+            raise InputError(f"chi_g outside {k}..{ceiling} on {self.partition}: {self.chi_g}")
 
     def alice_wins(self, budget: int) -> bool:
         _check_budget(self.partition, budget)
@@ -169,23 +174,16 @@ class WinVector:
             part_text, chi_text, bits = line.strip().split(";")
             partition, chi = Partition.parse(part_text), int(chi_text)
         except ValueError:
-            raise ValueError(f"bad cache line: {line!r}") from None
-        # Cheap checks of outside input; `confirmed` is the re-solve. The
-        # constructor bounds chi_g, and the table is exact where it applies.
+            raise InputError(f"bad cache line: {line!r}") from None
+        # Cheap checks of outside input, without a search. The constructor
+        # bounds chi_g, and the table is exact where it applies.
         vec = cls(partition, chi)
         if bits != vec.bitstring():
-            raise ValueError(f"cache line bits are not the threshold of chi_g {chi}: {line!r}")
+            raise InputError(f"cache line bits are not the threshold of chi_g {chi}: {line!r}")
         table = table1_chi_g(partition)
         if table is not None and table != chi:
-            raise ValueError(f"cache line contradicts the table value {table}: {line!r}")
+            raise InputError(f"cache line contradicts the table value {table}: {line!r}")
         return vec
-
-    def confirmed(self) -> bool:
-        """True iff the search finds Alice winning with chi_g colors and losing
-        with chi_g - 1, which proves chi_g by `win_vector`'s argument."""
-        sizes, memo = self.partition.sizes, {}
-        won = _value((sizes, 0, self.chi_g, ALICE), memo)
-        return won and not _value((sizes, 0, self.chi_g - 1, ALICE), memo)
 
 
 def win_vector(partition: Partition, memo: Optional[dict[tuple, bool]] = None) -> WinVector:
@@ -410,7 +408,7 @@ def refute_restricted(
     failing line in deterministic search order, walked to the end of play."""
     strategy = as_strategy(strategy)
     if fixed_side not in (ALICE, BOB):
-        raise ValueError(f"fixed_side must be {ALICE!r} or {BOB!r}")
+        raise InputError(f"fixed_side must be {ALICE!r} or {BOB!r}")
     _check_budget(partition, budget)
     check_mode(mode)
     check_seat(strategy, partition, fixed_side)

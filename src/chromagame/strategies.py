@@ -50,6 +50,7 @@ from .core import (
     BOB,
     GameState,
     GameStatus,
+    InputError,
     Move,
     Partition,
     legal_moves,
@@ -59,7 +60,7 @@ from .core import (
 )
 
 
-class InapplicableStrategyError(ValueError):
+class InapplicableStrategyError(InputError):
     """The rule's shape constraints do not hold for this partition."""
 
 
@@ -386,10 +387,10 @@ def get_strategy(name: str) -> Strategy:
         if digits.isascii() and digits.isdecimal():
             with contextlib.suppress(ValueError):  # more digits than int() converts
                 return RandomMover(int(seed))
-        raise ValueError(f"bad random seed in {name!r}")
+        raise InputError(f"bad random seed in {name!r}")
     if key == "human":
         return HumanPlayer()
-    raise ValueError(f"unknown strategy {name!r}; expected one of {', '.join(STRATEGY_NAMES)}")
+    raise InputError(f"unknown strategy {name!r}; expected one of {', '.join(STRATEGY_NAMES)}")
 
 
 def as_strategy(strategy: Strategy | str) -> Strategy:
@@ -418,7 +419,7 @@ def check_seat(strategy: Strategy, partition: Partition, seat: str) -> None:
 def _check_turn(strategy: Strategy, state: GameState) -> None:
     check_seat(strategy, state.partition, state.turn)
     if status(state) is not GameStatus.ONGOING:
-        raise ValueError("game is over")
+        raise InputError("game is over")
 
 
 def choose_move(strategy: Strategy, state: GameState) -> Move:

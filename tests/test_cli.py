@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromagame.cli import MAX_NONOPT_K, MAX_SOLVE_WORK, MAX_VERTICES, run, solve_work
-from chromagame.core import Partition
+from chromagame.core import IllegalMoveError, Partition
 from chromagame.harness import all_partitions
+from chromagame.solver import _RestrictedSearch
 
 
 def invoke(argv, stdin_text=""):
@@ -380,6 +381,21 @@ class TestUsageErrors:
         code, _ = invoke(argv)
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "3,3,3", "--colors", "4", "--side", "alice", "--strategy", "a2"],
+            ["conjecture", "nonopt", "--k", "6"],
+        ],
+    )
+    def test_program_fault_is_not_a_usage_error(self, argv, monkeypatch):
+        def planted(*_args):
+            raise IllegalMoveError("planted fault")
+
+        monkeypatch.setattr(_RestrictedSearch, "refutation", planted)
+        with pytest.raises(IllegalMoveError, match="planted fault"):
+            invoke(argv)
 
     def test_unknown_strategy_lists_every_name(self, capsys):
         code, _ = invoke(["simulate", "3,3", "--colors", "3", "--alice", "zzz", "--bob", "b1"])

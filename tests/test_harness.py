@@ -9,7 +9,9 @@ from chromagame import solver
 from chromagame.core import (
     ALICE,
     BOB,
+    GameState,
     GameStatus,
+    InputError,
     Move,
     Partition,
     apply_move,
@@ -17,7 +19,7 @@ from chromagame.core import (
     initial_state,
     status,
 )
-from chromagame.formulas import GUARANTEES
+from chromagame.formulas import GUARANTEES, dunn_uniform
 from chromagame.harness import (
     SCAN_CSV_HEADER,
     GameRecord,
@@ -33,8 +35,13 @@ from chromagame.harness import (
     simulate,
     verify_guarantee,
 )
-from chromagame.solver import refute_restricted
-from chromagame.strategies import CompositeOpening, InapplicableStrategyError, get_strategy
+from chromagame.solver import WinVector, alice_wins, refute_restricted, restricted_value
+from chromagame.strategies import (
+    CompositeOpening,
+    InapplicableStrategyError,
+    choose_move,
+    get_strategy,
+)
 
 
 def replay(record: GameRecord):
@@ -259,6 +266,49 @@ def test_unknown_mode_is_refused_before_any_search(check, mode, monkeypatch):
     monkeypatch.setattr(solver, "apply_move", no_search)
     with pytest.raises(ValueError, match="mode must be 'deterministic' or 'universal'"):
         check(mode)
+
+
+K33 = Partition((3, 3))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Partition((2, 3)),
+        lambda: Partition.parse("3,+1"),
+        lambda: GameState(K33, (4, 0), 3),
+        lambda: get_strategy("a9"),
+        lambda: simulate(K33, 3, "b1", "b1"),  # a Bob rule in Alice's seat
+        lambda: choose_move(get_strategy("a1"), GameState(K33, (3, 3), 2, 2)),  # game over
+        lambda: alice_wins(K33, 7),
+        lambda: refute_restricted(K33, 3, ALICE, "a1", "Universal"),
+        lambda: refute_restricted(K33, 3, "carol", "a1"),
+        lambda: WinVector(K33, 4),
+        lambda: WinVector.from_cache_line("3,3;3"),
+        lambda: all_partitions(3, "odd"),
+        lambda: check_nonoptimality_theorem(5),
+        lambda: dunn_uniform(0, 3),
+        # a budget, count or chi_g that is not an int
+        lambda: simulate(K33, 2.5, "a1", "b1"),
+        lambda: alice_wins(K33, 2.5),
+        lambda: restricted_value(K33, 2.5, ALICE, "a1"),
+        lambda: GameState(K33, (0.5, 0), 3, 1),
+        lambda: GameState(K33, (1, 0), 3, True),
+        lambda: WinVector(K33, 3.0),
+    ],
+    ids=[
+        "Partition", "Partition.parse", "GameState", "get_strategy", "check_seat",
+        "_check_turn", "_check_budget", "check_mode", "fixed_side", "WinVector",
+        "from_cache_line", "all_partitions", "check_nonoptimality_theorem", "dunn_uniform",
+        "simulate-float-budget", "alice_wins-float-budget", "restricted_value-float-budget",
+        "GameState-float-count", "GameState-bool-used", "WinVector-float-chi_g",
+    ],
+)
+def test_caller_errors_raise_input_error(call):
+    """Every check on a caller's argument raises `InputError`, the one error
+    the command line reports as a usage error (exit 2)."""
+    with pytest.raises(InputError):
+        call()
 
 
 class TestConjectures:

@@ -188,12 +188,12 @@ def test_won_keys_stay_won_with_one_more_color():
 
 def test_settled_budgets_match_the_search():
     """`win_vector` searches only below min(n, 2k - 1), down to the first
-    loss; on every shape with n <= 12 each budget matches `alice_wins`, the
-    plain one-budget search, so the theorem holds at every root."""
+    loss; on every shape with n <= 12 each budget matches the one-budget
+    search at its root, so the theorem holds at every root."""
     for partition in all_partitions(12):
         vec = win_vector(partition)
         for t in range(1, partition.n + 1):
-            assert vec.alice_wins(t) == alice_wins(partition, t), (partition, t)
+            assert vec.alice_wins(t) == _value((partition.sizes, 0, t, ALICE), {}), (partition, t)
 
 
 RULES = ("a1", "a1p", "a2", "a2p", "a3", "a3p", "acomposite", "b1", "b1p")
