@@ -147,8 +147,9 @@ def rules():
     acomposite on K_{4,3,3,3,1,1}, at every budget: every position reachable
     when the rule's seat plays any admissible move and the other seat any
     legal move. A position is a (state, rule value) pair. At each position
-    of the rule's seat, the record holds the rule's phase (acomposite's,
-    else None), its admissible moves, its choice and its anchor part."""
+    of the rule's seat, the record holds the position, the rule's admissible
+    moves, its choice and its anchor part: what the rule does, not how its
+    value is written."""
     cases = [
         (partition, budget, name)
         for partition, budget in shape_budgets(7)
@@ -168,8 +169,7 @@ def rules():
                 moves = rule.admissible(state)
                 yield json.dumps(
                     [str(partition), budget, name, state.colored, state.used, state.last_move,
-                     getattr(rule, "phase", None), moves, moves and rule.choose(state),
-                     rule.anchor_part(state)]
+                     moves, moves and rule.choose(state), rule.anchor_part(state)]
                 )
             else:
                 moves = legal_moves(state)

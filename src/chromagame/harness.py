@@ -243,6 +243,8 @@ def partitions_of(n: int, largest: Optional[int] = None) -> Iterator[tuple[int, 
 
 def all_partitions(max_n: int, filter_: str = "all") -> list[Partition]:
     """Every partition with n <= max_n, in canonical scan order."""
+    if type(max_n) is not int:  # bool subclasses int
+        raise InputError(f"max_n must be an integer, not {max_n!r}")
     if filter_ not in FILTERS:
         raise InputError(f"filter must be one of {FILTERS}, not {filter_!r}")
     out = []
@@ -418,6 +420,8 @@ class NonOptimalityReport:
 def check_nonoptimality_theorem(k: int) -> NonOptimalityReport:
     """On K_{4,3,...,3,1,1} with k parts: 2k-4 colors suffice, the composite
     opening achieves them, and each simple rule needs more."""
+    if type(k) is not int:
+        raise InputError(f"k must be an integer, not {k!r}")
     if k < 6:
         raise InputError("needs k >= 6 (at least three parts of size 3)")
     sizes = (4,) + (3,) * (k - 3) + (1, 1)

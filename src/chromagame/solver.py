@@ -122,6 +122,7 @@ def check_mode(mode: str) -> None:
 def alice_wins(partition: Partition, budget: int) -> bool:
     """True iff Alice has a winning strategy with exactly `budget` colors:
     iff budget >= chi_g, by `win_vector`'s argument."""
+    _check_budget(partition, budget)  # before the solve, which may be long
     return win_vector(partition).alice_wins(budget)
 
 
@@ -303,22 +304,23 @@ class _RestrictedSearch:
           and otherwise starts an odd part chosen by size, so its moves, and
           its value, depend only on the pooled key of `canonicalize`, which
           both picks leave equal.
-        - The rule's phase is left out. Only acomposite has one beyond its
-          anchor, and its positions with one key share it where it matters:
-          1. `anchor` and `anchor_s` differ only by a2p's singleton clause.
-             `anchor` is entered after both singletons are colored, so any
-             key it shares with an `anchor_s` position has no uncolored
-             singleton, and both phases allow the same moves.
-          2. The phase is the one the rule last moved in, and it steps
-             only on the opponent's replies. Each scripted phase (`open`,
-             `fill_singleton`, `join_big`, `close_big`) covers one of
-             Alice's moves and the reply to it. At Alice's turn, any two
-             phases present at one move count differ in the anchor part's
+        - The rule value is left out. Only acomposite's changes in play: its
+          script hands over to the a2 or a2p row anchored on a triple, or to
+          a1p. Its positions with one key hold values that act alike:
+          1. a2 and a2p differ only by a2p's singleton clause. The a2
+             hand-over comes only once both singletons are colored, so any
+             key it shares with an a2p position has no uncolored singleton,
+             and both rows allow the same moves.
+          2. The script's phase is the one the rule last moved in, and it
+             steps only on the opponent's replies. Each scripted phase
+             (`open`, `fill_singleton`, `join_big`, `close_big`) covers one
+             of Alice's moves and the reply to it. At Alice's turn, any two
+             values present at one move count differ in the anchor part's
              code (or its absence) or in the colored count of the size-4
              part. At the opponent's turn a phase acts only through the
-             phase the reply steps it to. The one scripted phase that may
-             share a key with another there, `fill_singleton` with `anchor`
-             after three moves, steps to `anchor` on the marked part.
+             value the reply steps it to. The one phase that may share a
+             key with another value there, `fill_singleton` with the a2
+             hand-over after three moves, steps to a2 on the marked part.
         """
         sizes = state.partition.sizes
         base = sizes[0] + 1

@@ -7,11 +7,12 @@ not match. Each analyzed rule apart from `acomposite` is a `Rule` value (an
 id, a side, a tuple of clauses, a shape test and an optional anchor) in one
 table, so rules share clauses instead of copying them and a new chain is
 one row, not a class. `acomposite` is a `CompositeOpening` value whose
-phase `advance` moves on. `admissible_moves` returns every move the
-matched clause allows (the universal reading of each "pick any part"
-freedom), while `choose_move` applies the deterministic tie-breaks: lowest
-part index first, and the smallest already-present color when a concrete
-reused color is needed for a transcript.
+phase `advance` moves on until it hands over to a row. `admissible_moves`
+returns every move the matched clause allows (the universal reading of
+each "pick any part" freedom), while `choose_move` applies the
+deterministic tie-breaks: lowest part index first, and the smallest
+already-present color when a concrete reused color is needed for a
+transcript.
 
 Alice's rules:
   a1   start unstarted parts with new colors, otherwise reuse anywhere.
@@ -25,7 +26,8 @@ Alice's rules:
        anchor-part clauses for a2p.
   acomposite   a scripted opening for the K_{4,3,...,3,1,1} family (k >= 6)
        that colors a singleton, branches on the opponent's replies, and then
-       hands over to a2/a2p/a1p with the board as given history.
+       hands over to a2/a2p (anchored on the triple the script picks) or to
+       a1p, with the board as given history.
 
 Bob's rules:
   b1   answer in the part Alice just played while it is open; otherwise fill
@@ -41,8 +43,9 @@ harness plumbing, not analyzed rules.
 from __future__ import annotations
 
 import contextlib
+import functools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from .core import (
@@ -172,11 +175,6 @@ def _first_triple(partition: Partition) -> int:
     return partition.sizes.index(3)
 
 
-def _open_or_mirror(state: GameState) -> list[Move]:
-    """a2's anchor clauses on the first size-3 part."""
-    return _anchor(state, _first_triple(state.partition))
-
-
 # clauses with their arguments bound, as the rule table takes them
 def _echo_by_reuse(state: GameState) -> list[Move]:
     return _echo(state, False)
@@ -206,8 +204,9 @@ def _start_smallest(state: GameState) -> list[Move]:
 class Rule(Strategy):
     """An analyzed rule as a value: its admissible moves are the first
     non-empty result among its `clauses`, in order ([] if none matches).
-    `applies` is its shape test, and `anchor`, if given, names the part
-    the rule anchors on."""
+    `applies` is its shape test. `anchor`, if given, names the part the
+    rule anchors on, and the anchor clauses on that part come before
+    `clauses`."""
 
     # field() gives no default, where Strategy's class attribute would
     id: str = field()
@@ -220,6 +219,10 @@ class Rule(Strategy):
         return self.applies(partition)
 
     def admissible(self, state):
+        if self.anchor is not None:
+            moves = _anchor(state, self.anchor(state.partition))
+            if moves:
+                return moves
         for clause in self.clauses:
             moves = clause(state)
             if moves:
@@ -237,9 +240,10 @@ class CompositeOpening(Strategy):
     Color a singleton; then, depending on the opponent's first reply, either
     hand over to the anchor rule (a2) directly, fill the second singleton
     first, or contest the size-4 part and decide between a1p and a2p after
-    the opponent's second reply. Delegated rules treat the current board as
-    given history; a delegated anchor rule adopts a part the opponent just
-    opened as its anchor.
+    the opponent's second reply. `advance` returns the rule it hands over
+    to, which treats the current board as given history: the a1p row, or
+    the a2 or a2p row anchored on the triple the script picks, which may be
+    a part the opponent just opened.
     """
 
     id = "acomposite"
@@ -251,20 +255,11 @@ class CompositeOpening(Strategy):
     #   ("fill_singleton", vj)    claim the second singleton, then anchor vj
     #   ("join_big",)             scripted reuse in the size-4 part
     #   ("close_big",)            scripted completion of the size-4 part
-    #   ("anchor", vj)            delegated a2
-    #   ("anchor_s", vj)          delegated a2p
-    #   ("solo",)                 delegated a1p
     phase: tuple = ("open",)
 
     def is_applicable(self, partition):
-        sizes = partition.sizes
         k = partition.k
-        return (
-            k >= 6
-            and sizes[0] == 4
-            and sizes[k - 2 :] == (1, 1)
-            and all(r == 3 for r in sizes[1 : k - 2])
-        )
+        return k >= 6 and partition.sizes == (4,) + (3,) * (k - 3) + (1, 1)
 
     def advance(self, state):
         if state.turn == BOB:  # Alice's own move
@@ -273,32 +268,23 @@ class CompositeOpening(Strategy):
         size = state.partition.sizes[part]
         if phase == "open":
             if size == 1:
-                return CompositeOpening(("anchor", _first_triple(state.partition)))
+                return _anchored("a2", _first_triple(state.partition))
             if size == 3:
                 return CompositeOpening(("fill_singleton", part))
             return CompositeOpening(("join_big",))
         if phase == "fill_singleton":
             # The opponent's opening move into the triple stands in for our
             # own anchor-opening move.
-            return CompositeOpening(("anchor", self.phase[1]))
+            return _anchored("a2", self.phase[1])
         if phase == "join_big":
-            return CompositeOpening(("close_big",) if part == 0 else ("solo",))
-        if phase == "close_big":
-            anchor = part if size == 3 else _first_triple(state.partition)
-            return CompositeOpening(("anchor_s", anchor))
-        return self
+            return CompositeOpening(("close_big",)) if part == 0 else _REGISTRY["a1p"]
+        # close_big: a2p on the triple replied in, else on the first triple
+        return _anchored("a2p", part if size == 3 else _first_triple(state.partition))
 
     def admissible(self, state):
-        phase = self.phase[0]
-        if phase in ("open", "fill_singleton"):
+        if self.phase[0] in ("open", "fill_singleton"):
             return _singletons(state)
-        if phase in ("join_big", "close_big"):
-            return [Move(0, False)]
-        if phase == "anchor":
-            return _anchor(state, self.phase[1]) or _start_or_fill(state)
-        if phase == "anchor_s":
-            return _anchor(state, self.phase[1]) or _singletons(state) or _start_or_fill(state)
-        return _singletons(state) or _start_or_fill(state)  # solo
+        return [Move(0, False)]  # join_big, close_big
 
     def anchor_part(self, state):
         return self.phase[1] if len(self.phase) > 1 else None
@@ -356,9 +342,9 @@ _REGISTRY = {
     for rule in (
         Rule("a1", ALICE, (_start_or_fill,)),
         Rule("a1p", ALICE, (_singletons, _start_or_fill)),
-        Rule("a2", ALICE, (_open_or_mirror, _start_or_fill), _has_triple, _first_triple),
-        Rule("a2p", ALICE, (_open_or_mirror, _singletons, _start_or_fill),
-             _has_triple, _first_triple),
+        # a2 and a2p are a1 and a1p anchored on the first triple
+        Rule("a2", ALICE, (_start_or_fill,), _has_triple, _first_triple),
+        Rule("a2p", ALICE, (_singletons, _start_or_fill), _has_triple, _first_triple),
         # a3's last clause comes up empty only on a board with no partial part
         # and only full or even unstarted parts. That board has an odd move
         # count, so it is never Alice's turn when this seat has played the
@@ -372,6 +358,13 @@ _REGISTRY = {
 }
 
 STRATEGY_NAMES = tuple(_REGISTRY) + ("random:<seed>", "human")
+
+
+@functools.cache
+def _anchored(name: str, part: int) -> Rule:
+    """The table's `name` row anchored on `part`, one value per (row, part)
+    so that every route to a hand-over holds the same rule value."""
+    return replace(_REGISTRY[name], anchor=lambda partition: part)
 
 
 def get_strategy(name: str) -> Strategy:

@@ -117,9 +117,10 @@ class TestSimulate:
         line = refute_restricted(*case)
         assert line is not None and refute_restricted(*case) == line
         assert get_strategy("acomposite").phase == ("open",)
-        assert CompositeOpening(("anchor", 1)) == CompositeOpening(("anchor", 1))
-        assert hash(CompositeOpening(("anchor", 1))) == hash(CompositeOpening(("anchor", 1)))
-        assert CompositeOpening(("anchor", 1)) != CompositeOpening(("anchor_s", 1))
+        filling = CompositeOpening(("fill_singleton", 1))
+        assert filling == CompositeOpening(("fill_singleton", 1))
+        assert hash(filling) == hash(CompositeOpening(("fill_singleton", 1)))
+        assert filling != CompositeOpening(("fill_singleton", 2))
 
     def test_wrong_seat_rejected(self):
         with pytest.raises(InapplicableStrategyError):
@@ -268,6 +269,17 @@ def test_unknown_mode_is_refused_before_any_search(check, mode, monkeypatch):
         check(mode)
 
 
+@pytest.mark.parametrize("budget", [0, 46, 2.5])
+def test_bad_budget_is_refused_before_any_search(budget, monkeypatch):
+    """`alice_wins` checks the budget before it solves the shape."""
+    def no_search(*_args):
+        raise AssertionError("searched before checking the budget")
+
+    monkeypatch.setattr(solver, "_value", no_search)
+    with pytest.raises(InputError, match="budget must be"):
+        alice_wins(Partition(tuple(range(9, 0, -1))), budget)  # n = 45
+
+
 K33 = Partition((3, 3))
 
 
@@ -295,6 +307,12 @@ K33 = Partition((3, 3))
         lambda: GameState(K33, (0.5, 0), 3, 1),
         lambda: GameState(K33, (1, 0), 3, True),
         lambda: WinVector(K33, 3.0),
+        # a shape count that is not a plain int
+        lambda: all_partitions(6.5),
+        lambda: scan(3.0),
+        lambda: guarantee_suite(True),
+        lambda: check_b1p_conjecture(2.0),
+        lambda: check_nonoptimality_theorem(6.5),
     ],
     ids=[
         "Partition", "Partition.parse", "GameState", "get_strategy", "check_seat",
@@ -302,6 +320,8 @@ K33 = Partition((3, 3))
         "from_cache_line", "all_partitions", "check_nonoptimality_theorem", "dunn_uniform",
         "simulate-float-budget", "alice_wins-float-budget", "restricted_value-float-budget",
         "GameState-float-count", "GameState-bool-used", "WinVector-float-chi_g",
+        "all_partitions-float-max_n", "scan-float-max_n", "guarantee_suite-bool-max_n",
+        "check_b1p_conjecture-float-max_n", "check_nonoptimality_theorem-float-k",
     ],
 )
 def test_caller_errors_raise_input_error(call):

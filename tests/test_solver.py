@@ -394,11 +394,11 @@ def test_nonoptimality_refutations_walk_once(k, monkeypatch):
     "k, mode", [(k, DETERMINISTIC) for k in range(6, 10)] + [(6, UNIVERSAL), (7, UNIVERSAL)]
 )
 def test_acomposite_bookkeeping_follows_the_board(k, mode):
-    """The fact that lets the pinned-search key merge acomposite's `anchor`
-    and `anchor_s` phases, at every position the search keys on
-    K_{4,3^(k-3),1,1} with 2k - 4 colors (the non-optimality budget): phase
-    `anchor` is entered only once both singletons are colored. The phase
-    steps only on the opponent's replies: Alice's own moves keep the value."""
+    """The fact that lets the pinned-search key merge acomposite's a2 and a2p
+    hand-overs, at every position the search keys on K_{4,3^(k-3),1,1} with
+    2k - 4 colors (the non-optimality budget): the value is handed over to
+    a2 only once both singletons are colored. The script steps only on the
+    opponent's replies: Alice's own moves keep the value."""
     partition = Partition((4,) + (3,) * (k - 3) + (1, 1))
     strategy = get_strategy("acomposite")
     search = _RestrictedSearch(ALICE, mode)
@@ -410,12 +410,12 @@ def test_acomposite_bookkeeping_follows_the_board(k, mode):
         if over or (state, rule) in seen:
             continue
         seen.add((state, rule))
-        if rule.phase[0] == "anchor":
-            assert state.colored[-2:] == (1, 1), (state, rule.phase)
+        if rule.id == "a2":
+            assert state.colored[-2:] == (1, 1), (state, rule)
         children = [apply_move(state, m) for m in search.moves_for(state, rule)]
         steps = [(child, rule.advance(child)) for child in children]
         if state.turn == ALICE:
-            assert all(after is rule for _child, after in steps), (state, rule.phase)
+            assert all(after is rule for _child, after in steps), (state, rule)
         stack.extend(steps)
 
 
@@ -612,13 +612,13 @@ class TestRestricted:
 
     def test_a_rule_built_outside_the_table_runs_like_its_row(self):
         """Rules are values: a chain rebuilt from the table's clauses, with
-        no class of its own, gives the same refutations as the named rule."""
+        no class of its own, gives the same refutations as the named rule,
+        and a2p is a1p's chain anchored on the first triple."""
+        a1p_clauses = (strategies._singletons, strategies._start_or_fill)
         rebuilt = {
-            "a1p": Rule("x", ALICE, (strategies._singletons, strategies._start_or_fill)),
+            "a1p": Rule("x", ALICE, a1p_clauses),
             "a2p": Rule(
-                "y", ALICE,
-                (strategies._open_or_mirror, strategies._singletons, strategies._start_or_fill),
-                strategies._has_triple, strategies._first_triple,
+                "y", ALICE, a1p_clauses, strategies._has_triple, anchor=strategies._first_triple
             ),
         }
         for sizes in [(3, 3, 1), (4, 3, 1, 1), (3, 2, 2, 1)]:

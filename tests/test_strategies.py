@@ -22,6 +22,7 @@ from chromagame.core import (
 )
 from chromagame.strategies import (
     InapplicableStrategyError,
+    Rule,
     admissible_moves,
     choose_move,
     get_strategy,
@@ -229,6 +230,44 @@ class TestChooseExamples:
             comp, p, 8, [Move(4, True), Move(0, True), Move(0, False), Move(0, True)]
         )
         assert choose_move(*ctx) == Move(0, False)
+
+
+def test_composite_opening_hands_over_to_table_rows():
+    """Each of acomposite's hand-overs is a table row: a2 or a2p anchored on
+    the triple the script picks, or a1p itself. There is one value per (row,
+    anchor part), so two routes to one hand-over give the same value."""
+    p = Partition.of([4, 3, 3, 3, 1, 1])
+    comp, a1p, a2, a2p = (get_strategy(name) for name in ("acomposite", "a1p", "a2", "a2p"))
+    open_, reuse = Move(4, True), Move(0, False)  # the script's moves
+
+    def handed_over(*moves):
+        rule, state = ctx_after(comp, p, 8, moves)
+        assert isinstance(rule, Rule), moves
+        return rule, rule.anchor_part(state)
+
+    routes = {
+        # the other singleton: a2 on the first triple
+        (open_, Move(5, True)): (a2, 1),
+        # a triple: the second singleton, then a2 on that triple
+        **{(open_, Move(j, True), Move(5, True), Move(0, True)): (a2, j) for j in (1, 2, 3)},
+        # the size-4 part twice: a2p on the triple of the third reply, else on the first
+        **{
+            (open_, Move(0, True), reuse, Move(0, True), reuse, Move(j, True)): (a2p, j)
+            for j in (1, 2, 3)
+        },
+        (open_, Move(0, True), reuse, Move(0, True), reuse, Move(5, True)): (a2p, 1),
+    }
+    values = {}
+    for moves, (row, anchor) in routes.items():
+        rule, part = handed_over(*moves)
+        assert (rule.id, rule.side, rule.clauses, rule.applies) == (
+            row.id, row.side, row.clauses, row.applies
+        ), moves
+        assert part == anchor, moves
+        assert values.setdefault((row.id, anchor), rule) is rule, moves
+    assert len(values) == 6  # a2 on 1 and a2p on 1 are each reached by two routes
+    # the size-4 part, then elsewhere: a1p
+    assert handed_over(open_, Move(0, True), reuse, Move(1, True)) == (a1p, None)
 
 
 ODD_SHAPES = [(3,), (3, 2), (3, 2, 2), (5, 2, 2), (3, 3, 3), (3, 2, 2, 2), (1,), (5, 3, 1)]
