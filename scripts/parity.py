@@ -210,6 +210,14 @@ def solve():
         yield cli_record(["solve", str(partition), "--format", "json"])
 
 
+def bounds():
+    """`bounds` and `formula`, human and JSON, on every shape with n <= 12."""
+    for partition in all_partitions(12):
+        for command in ("bounds", "formula"):
+            for fmt in ("human", "json"):
+                yield cli_record([command, str(partition), "--format", fmt])
+
+
 SURFACES = {
     "refute_restricted": refutations,
     "conjecture": conjectures,
@@ -218,6 +226,7 @@ SURFACES = {
     "simulate": simulate,
     "scan": scan,
     "solve": solve,
+    "bounds": bounds,
     "rules": rules,
     "winvectors": winvectors,
     "refutation_lines": refutation_lines,

@@ -21,7 +21,6 @@ from .formulas import (
     BoundReport,
     bounds,
     ceil_half_sum,
-    dunn_uniform,
     table1_chi_g,
 )
 from .harness import (
@@ -79,7 +78,6 @@ __all__ = [
     "check_nonoptimality_theorem",
     "chi_g",
     "choose_move",
-    "dunn_uniform",
     "fixing_move_played",
     "get_strategy",
     "guarantee_suite",

@@ -136,11 +136,12 @@ def cmd_solve(args, out, inp) -> int:
         return 0
     _emit(out, f"chi_g({partition.label()}) = {payload['chi_g']}")
     _emit(out, f"win vector (t = {partition.k}..{partition.n}): {vec.bitstring()}")
-    if payload["table1"] is not None:
-        agrees = "agrees" if payload["table1"] == payload["chi_g"] else "DISAGREES"
-        _emit(out, f"table formula: {payload['table1']} ({agrees})")
+    table = table1_report(partition)
+    if table.applicable:
+        agrees = "agrees" if table.value == payload["chi_g"] else "DISAGREES"
+        _emit(out, f"table formula: {table.value} ({agrees})")
     else:
-        _emit(out, "table formula: not applicable (singleton present with k >= 3)")
+        _emit(out, f"table formula: not applicable ({table.reason})")
     return 0
 
 
@@ -302,11 +303,11 @@ def _check_max_n(max_n: int) -> None:
 
 def cmd_scan(args, out, inp) -> int:
     _check_max_n(args.max_n)
-    if args.out:
+    if args.out is not None:
         _write_out(args.out, "")  # a bad path is reported before the scan
     rows = scan(args.max_n, args.filter)
     csv_text = scan_csv(rows)
-    if args.out:
+    if args.out is not None:
         _write_out(args.out, csv_text)
         _emit(out, f"wrote {len(rows)} rows to {args.out}")
     else:

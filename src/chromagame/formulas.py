@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Callable, Optional
 
-from .core import ALICE, BOB, InputError, Partition
+from .core import ALICE, BOB, Partition
 
 EXACT = "exact"
 UPPER = "upper"
@@ -24,11 +24,14 @@ LOWER = "lower"
 class BoundReport:
     """One bound (or exact value) with its provenance and applicability."""
 
-    source: str  # table1 | dunn | cor_a1 | cor_a2 | cor_a3 | cor_b1_main | cor_b1_2 | cor_b1_3
+    source: str  # table1 | cor_a1 | cor_a2 | cor_a3 | cor_b1_main | cor_b1_2 | cor_b1_3
     kind: str  # exact | upper | lower
-    value: Optional[int]
-    applicable: bool
-    reason: str = field(default="", compare=False)
+    value: Optional[int]  # None when the report does not apply
+    reason: str = field(default="", compare=False, kw_only=True)
+
+    @property
+    def applicable(self) -> bool:
+        return self.value is not None
 
     def to_dict(self) -> dict:
         d = {
@@ -73,42 +76,8 @@ def table1_chi_g(partition: Partition) -> Optional[int]:
 def table1_report(partition: Partition) -> BoundReport:
     value = table1_chi_g(partition)
     if value is None:
-        return BoundReport(
-            "table1", EXACT, None, False, "singleton present with k >= 3"
-        )
-    return BoundReport("table1", EXACT, value, True)
-
-
-def dunn_uniform(k: int, r: int) -> int:
-    """Exact value for the uniform shape K_{r,...,r} (k parts of size r).
-
-    The size-3 exception applies to any k >= 3: three-vertex parts are the
-    one shape that lets the first player close a part she opened with only
-    two colors spent, saving one color overall. (Parts of size >= 4 do not:
-    the opponent always gets a second, fresh-colored move in them.)
-    """
-    if k < 1 or r < 1:
-        raise InputError("k and r must be positive")
-    if k == 1:
-        return 1
-    if r == 3 and k >= 3:
-        return 2 * k - 2
-    return 2 * k - 1
-
-
-def _dunn_report(partition: Partition) -> BoundReport:
-    sizes = partition.sizes
-    k = partition.k
-    if len(set(sizes)) != 1:
-        return BoundReport("dunn", EXACT, None, False, "parts are not all equal")
-    r = sizes[0]
-    if r == 1 and k >= 2:
-        # K_{1,...,1} is a complete graph; the uniform formula's domain
-        # excludes all-singleton shapes (a partition is taken with minimum k).
-        return BoundReport(
-            "dunn", EXACT, None, False, "all-singleton shape is outside the formula's domain"
-        )
-    return BoundReport("dunn", EXACT, dunn_uniform(k, r), True)
+        return BoundReport("table1", EXACT, None, reason="singleton present with k >= 3")
+    return BoundReport("table1", EXACT, value)
 
 
 @dataclass(frozen=True)
@@ -142,9 +111,27 @@ _NO_SINGLETON = (lambda p: p.sizes[-1] >= 2, "singleton present")
 _ODD = (lambda p: p.n % 2 == 1, "n is even")
 _EVEN = (lambda p: p.n % 2 == 0, "n is odd")
 
+
+def fresh_starter_budget(partition: Partition) -> int:
+    """2k - 1: with this many colors or more, Alice wins by a1, the fresh
+    starter, which puts a new color on an unstarted part at each of its
+    turns (any move once every part is started).
+
+    Let u be the number of unstarted parts. At Alice's first turn u = k and
+    `left >= 2u - 1`. A round of two moves spends at most two colors and
+    starts at least one part (Alice's), so `left >= 2u - 1` holds again at
+    her next turn until every part is started. Alice therefore always has a
+    color for an unstarted part, and after her move `left >= 2u`, so Bob's
+    one move cannot spend the last color while a part is unstarted. No part
+    is ever stranded, and once every part is started the game is
+    `solver.decided`.
+    """
+    return 2 * partition.k - 1
+
+
 # Records of one source are adjacent, in the order `bounds` reports them.
 GUARANTEES = (
-    Guarantee("alice_fresh_starter", "cor_a1", ALICE, "a1", lambda p: 2 * p.k - 1),
+    Guarantee("alice_fresh_starter", "cor_a1", ALICE, "a1", fresh_starter_budget),
     Guarantee("alice_triple_anchor", "cor_a2", ALICE, "a2", lambda p: 2 * p.k - 2, (_K3, _TRIPLE)),
     Guarantee("alice_odd_opener", "cor_a3", ALICE, "a3", ceil_half_sum, (_ODD,)),
     Guarantee("bob_echo_large_parts", "cor_b1_main", BOB, "b1", lambda p: 2 * p.k - 2,
@@ -165,19 +152,19 @@ _BY_SOURCE = [(source, tuple(group)) for source, group in groupby(GUARANTEES, la
 
 def bounds(partition: Partition) -> list[BoundReport]:
     """Every bound with its side conditions evaluated for this shape: the
-    table, Dunn's uniform formula, and one report per `GUARANTEES` source.
+    table, the one exact source, and one report per `GUARANTEES` source.
     A source's upper bound is the smallest Alice budget among its records
     that apply, its lower bound the largest Bob budget plus one; when none
     applies, the reason is the first failing condition of its first record."""
-    reports = [table1_report(partition), _dunn_report(partition)]
+    reports = [table1_report(partition)]
     for source, group in _BY_SOURCE:
         values = [g.budget(partition) for g in group if g.failure(partition) is None]
         kind = UPPER if group[0].side == ALICE else LOWER
         if not values:
-            reports.append(BoundReport(source, kind, None, False, group[0].failure(partition)))
+            reports.append(BoundReport(source, kind, None, reason=group[0].failure(partition)))
         else:
             value = min(values) if kind == UPPER else max(values) + 1
-            reports.append(BoundReport(source, kind, value, True))
+            reports.append(BoundReport(source, kind, value))
     return reports
 
 

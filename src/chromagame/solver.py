@@ -20,7 +20,7 @@ from .core import (
     legal_moves,
     status,
 )
-from .formulas import table1_chi_g
+from .formulas import fresh_starter_budget, table1_chi_g
 from .strategies import (
     InapplicableStrategyError,
     Strategy,
@@ -124,22 +124,6 @@ def alice_wins(partition: Partition, budget: int) -> bool:
     iff budget >= chi_g, by `win_vector`'s argument."""
     _check_budget(partition, budget)  # before the solve, which may be long
     return win_vector(partition).alice_wins(budget)
-
-
-def fresh_starter_budget(partition: Partition) -> int:
-    """2k - 1: with this many colors or more, Alice wins by a1, the fresh
-    starter, which puts a new color on an unstarted part at each of its
-    turns (any move once every part is started).
-
-    Let u be the number of unstarted parts. At Alice's first turn u = k and
-    `left >= 2u - 1`. A round of two moves spends at most two colors and
-    starts at least one part (Alice's), so `left >= 2u - 1` holds again at
-    her next turn until every part is started. Alice therefore always has a
-    color for an unstarted part, and after her move `left >= 2u`, so Bob's
-    one move cannot spend the last color while a part is unstarted. No part
-    is ever stranded, and once every part is started the game is `decided`.
-    """
-    return 2 * partition.k - 1
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from chromagame.core import (
     legal_moves,
     status,
 )
-from chromagame.formulas import dunn_uniform
 from chromagame.harness import (
     all_partitions,
     check_b1p_conjecture,
@@ -66,9 +65,25 @@ def test_criterion_1_table_reproduction():
     )
 
 
+def uniform_chi_g(k: int, r: int) -> int:
+    """Dunn's formula for the uniform shape K_{r,...,r} (k parts of size r,
+    with r >= 2 or k = 1): 1 for k = 1, 2k - 2 for r = 3 and k >= 3, and
+    2k - 1 otherwise. The table gives the same value case by case:
+
+    - k = 1: both give 1.
+    - k = 2: both give 3.
+    - k >= 3 and r = 2: n is even and no part has size 3, so both give 2k - 1.
+    - k >= 3 and r = 3: both give 2k - 2.
+    - k >= 3 and r >= 4: both give 2k - 1.
+    """
+    if k == 1:
+        return 1
+    return 2 * k - 2 if r == 3 and k >= 3 else 2 * k - 1
+
+
 def test_criterion_2_uniform_formula():
-    """Solver equals the uniform-shape formula for k*r <= 12 (within the
-    notation's domain: k = 1 or r >= 2)."""
+    """Solver equals the uniform-shape formula `uniform_chi_g` for k*r <= 12
+    (within the notation's domain: k = 1 or r >= 2)."""
     checked = 0
     bad = []
     for k in range(1, 13):
@@ -77,7 +92,7 @@ def test_criterion_2_uniform_formula():
                 continue
             checked += 1
             got = chi_g(Partition.of([r] * k))
-            want = dunn_uniform(k, r)
+            want = uniform_chi_g(k, r)
             if got != want:
                 bad.append((k, r, got, want))
     spot = chi_g(Partition.of([3, 3, 3])) == 4 and chi_g(Partition.of([2, 2])) == 3

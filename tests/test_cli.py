@@ -46,7 +46,7 @@ class TestSolve:
         assert ts == list(range(3, 12))
         assert all(isinstance(row["alice_wins"], bool) for row in payload["win_vector"])
         sources = {b["source"] for b in payload["bounds"]}
-        assert {"table1", "dunn", "cor_a1", "cor_a2", "cor_a3",
+        assert {"table1", "cor_a1", "cor_a2", "cor_a3",
                 "cor_b1_main", "cor_b1_2", "cor_b1_3"} == sources
 
     def test_solve_and_scan_agree(self):
@@ -375,6 +375,7 @@ class TestUsageErrors:
             ["simulate", "3,3", "--colors", "3", "--alice", "random:3_0", "--bob", "b1"],
             ["simulate", "3,3", "--colors", "3", "--alice", "random: 5", "--bob", "b1"],
             ["simulate", "3,3", "--colors", "3", "--alice", "random:" + "9" * 5000, "--bob", "b1"],
+            ["scan", "--max-n", "2", "--out", ""],  # an empty path is a path
         ],
     )
     def test_exit_code_two(self, argv, capsys):

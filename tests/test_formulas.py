@@ -1,5 +1,6 @@
-"""Formula tests: the exact-value table, the uniform-shape formula, and the
-individual bounds with their side conditions."""
+"""Formula tests: the exact-value table (also against the uniform-shape
+formula written out in the acceptance suite), and the individual bounds with
+their side conditions."""
 
 from __future__ import annotations
 
@@ -11,12 +12,12 @@ from chromagame.formulas import (
     best_bounds,
     bounds,
     ceil_half_sum,
-    dunn_uniform,
     table1_chi_g,
     table1_report,
 )
 from chromagame.harness import all_partitions
 from chromagame.solver import chi_g
+from test_acceptance import uniform_chi_g
 
 
 def P(text):
@@ -108,25 +109,15 @@ class TestDunn:
         ],
     )
     def test_values(self, k, r, expected):
-        assert dunn_uniform(k, r) == expected
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            dunn_uniform(0, 3)
-        with pytest.raises(ValueError):
-            dunn_uniform(3, 0)
+        """The table's value on uniform shapes, against hand-computed values."""
+        assert table1_chi_g(Partition.of([r] * k)) == uniform_chi_g(k, r) == expected
 
     def test_agrees_with_table_on_uniform_shapes(self):
+        """Reaches n = 16, past the solver check of acceptance criterion 1."""
         for k in range(1, 7):
             for r in range(2, 7):
                 if k * r <= 16:
-                    assert table1_chi_g(Partition.of([r] * k)) == dunn_uniform(k, r)
-
-    def test_agrees_with_solver(self):
-        for k in range(1, 7):
-            for r in range(1, 13):
-                if k * r <= 12 and (k == 1 or r >= 2):
-                    assert chi_g(Partition.of([r] * k)) == dunn_uniform(k, r)
+                    assert table1_chi_g(Partition.of([r] * k)) == uniform_chi_g(k, r)
 
 
 def by_source(reports, source):
@@ -137,10 +128,8 @@ def by_source(reports, source):
 class TestBounds:
     def test_large_uniform_sandwich(self):
         reports = bounds(P("4,4,4"))
-        assert by_source(reports, "cor_a1") == BoundReport("cor_a1", "upper", 5, True)
-        assert by_source(reports, "cor_b1_main") == BoundReport(
-            "cor_b1_main", "lower", 5, True
-        )
+        assert by_source(reports, "cor_a1") == BoundReport("cor_a1", "upper", 5)
+        assert by_source(reports, "cor_b1_main") == BoundReport("cor_b1_main", "lower", 5)
         assert not by_source(reports, "cor_a2").applicable
         assert not by_source(reports, "cor_a3").applicable
 
@@ -168,10 +157,21 @@ class TestBounds:
         assert by_source(reports, "cor_a3").value == ceil_half_sum(P("3,3,1")) == 5
         assert chi_g(P("3,3,1")) == 3 <= 5
 
-    def test_dunn_report_only_on_uniform(self):
-        assert by_source(bounds(P("3,3,3")), "dunn").value == 4
-        assert not by_source(bounds(P("3,3,2")), "dunn").applicable
-        assert not by_source(bounds(P("1,1,1")), "dunn").applicable
+    def test_table_is_the_one_exact_source(self):
+        """The table is the only exact report, each source is reported once,
+        and a report applies exactly when it has a value."""
+        for p in all_partitions(14):
+            reports = bounds(p)
+            sources = [r.source for r in reports]
+            assert len(set(sources)) == len(sources), str(p)
+            assert [r.source for r in reports if r.kind == "exact"] == ["table1"], str(p)
+            for r in reports:
+                assert r.to_dict()["applicable"] == (r.value is not None), (str(p), r)
+
+    def test_applicability_is_not_positional(self):
+        """`applicable` is read from the value, so no argument sets it."""
+        with pytest.raises(TypeError):
+            BoundReport("cor_a1", "upper", 5, True)
 
     def test_sandwich_equals_table_for_k_ge_3(self):
         for p in all_partitions(12, "no-singletons"):

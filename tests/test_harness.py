@@ -19,7 +19,7 @@ from chromagame.core import (
     initial_state,
     status,
 )
-from chromagame.formulas import GUARANTEES, dunn_uniform
+from chromagame.formulas import GUARANTEES
 from chromagame.harness import (
     SCAN_CSV_HEADER,
     GameRecord,
@@ -299,7 +299,6 @@ K33 = Partition((3, 3))
         lambda: WinVector.from_cache_line("3,3;3"),
         lambda: all_partitions(3, "odd"),
         lambda: check_nonoptimality_theorem(5),
-        lambda: dunn_uniform(0, 3),
         # a budget, count or chi_g that is not an int
         lambda: simulate(K33, 2.5, "a1", "b1"),
         lambda: alice_wins(K33, 2.5),
@@ -317,7 +316,7 @@ K33 = Partition((3, 3))
     ids=[
         "Partition", "Partition.parse", "GameState", "get_strategy", "check_seat",
         "_check_turn", "_check_budget", "check_mode", "fixed_side", "WinVector",
-        "from_cache_line", "all_partitions", "check_nonoptimality_theorem", "dunn_uniform",
+        "from_cache_line", "all_partitions", "check_nonoptimality_theorem",
         "simulate-float-budget", "alice_wins-float-budget", "restricted_value-float-budget",
         "GameState-float-count", "GameState-bool-used", "WinVector-float-chi_g",
         "all_partitions-float-max_n", "scan-float-max_n", "guarantee_suite-bool-max_n",
