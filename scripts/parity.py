@@ -132,14 +132,24 @@ def verify():
                     )
 
 
-def simulate():
+def games(command: str, *options: str):
+    """`command` (simulate or play) for every seat pair of `ALICE_SEATS` x
+    `BOB_SEATS` at every budget of every shape with n <= 7."""
     for partition, budget in shape_budgets(7):
         for alice in ALICE_SEATS:
             for bob in BOB_SEATS:
                 yield cli_record(
-                    ["simulate", str(partition), "--colors", str(budget), "--alice", alice,
-                     "--bob", bob, "--format", "json"]
+                    [command, str(partition), "--colors", str(budget), "--alice", alice,
+                     "--bob", bob, *options]
                 )
+
+
+def simulate():
+    return games("simulate", "--format", "json")
+
+
+def play():
+    return games("play")
 
 
 def rules():
@@ -231,6 +241,7 @@ SURFACES = {
     "winvectors": winvectors,
     "refutation_lines": refutation_lines,
     "alice_wins": alice_wins_surface,
+    "play": play,
 }
 
 

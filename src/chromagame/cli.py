@@ -204,7 +204,7 @@ def _game_args(args) -> tuple[Partition, Strategy, Strategy]:
 
 def cmd_simulate(args, out, inp) -> int:
     partition, alice, bob = _game_args(args)
-    record = simulate(partition, args.colors, alice, bob, seed=args.seed)
+    record = simulate(partition, args.colors, alice, bob)
     if args.format == "json":
         _emit(out, json.dumps(record.to_dict()))
     else:
@@ -238,9 +238,8 @@ def _prompt_move(state: GameState, moves: list[Move], inp, out) -> Move:
 
 def cmd_play(args, out, inp) -> int:
     partition, alice, bob = _game_args(args)
-    for seat in (alice, bob):
-        if isinstance(seat, HumanPlayer):
-            seat.picker = lambda state, moves: _prompt_move(state, moves, inp, out)
+    human = HumanPlayer(lambda state, moves: _prompt_move(state, moves, inp, out))
+    alice, bob = (human if isinstance(seat, HumanPlayer) else seat for seat in (alice, bob))
     seats = seat_picker(partition, alice, bob)
     played: list[MoveRecord] = []
 
@@ -381,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--colors", type=int, required=True)
     p.add_argument("--alice", required=True)
     p.add_argument("--bob", required=True)
-    p.add_argument("--seed", type=int, default=0)
     add_format(p)
 
     p = sub.add_parser("play", help="interactive game (use strategy 'human')")

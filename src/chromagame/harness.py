@@ -31,7 +31,6 @@ from .solver import (
     win_vector,
 )
 from .strategies import (
-    RandomMover,
     Strategy,
     as_strategy,
     check_seat,
@@ -172,14 +171,9 @@ def simulate(
     budget: int,
     alice: Strategy | str,
     bob: Strategy | str,
-    seed: int = 0,
 ) -> GameRecord:
     """Deterministic playout of the two rules against each other."""
     alice, bob = as_strategy(alice), as_strategy(bob)
-    if isinstance(alice, RandomMover):
-        alice = alice.with_seed(seed)
-    if isinstance(bob, RandomMover):
-        bob = bob.with_seed(seed + 1)
     return record_game(partition, budget, seat_picker(partition, alice, bob), alice.id, bob.id)
 
 
@@ -245,6 +239,8 @@ def all_partitions(max_n: int, filter_: str = "all") -> list[Partition]:
     """Every partition with n <= max_n, in canonical scan order."""
     if type(max_n) is not int:  # bool subclasses int
         raise InputError(f"max_n must be an integer, not {max_n!r}")
+    if max_n < 1:
+        raise InputError(f"max_n must be at least 1, got {max_n}")
     if filter_ not in FILTERS:
         raise InputError(f"filter must be one of {FILTERS}, not {filter_!r}")
     out = []

@@ -36,8 +36,8 @@ Bob's rules:
   b1p  b1, except that when only parts of size <= 2 remain unstarted, it
        starts the smallest (singletons before pairs).
 
-`random:<seed>` (uniform over legal moves) and `human` (interactive) are
-harness plumbing, not analyzed rules.
+`random:<seed>` (uniform over legal moves; `random` is `random:0`) and `human`
+(interactive) are harness plumbing, not analyzed rules.
 """
 
 from __future__ import annotations
@@ -290,35 +290,32 @@ class CompositeOpening(Strategy):
         return self.phase[1] if len(self.phase) > 1 else None
 
 
+@dataclass(frozen=True, repr=False)
 class RandomMover(Strategy):
     """Seeded uniform choice among all legal moves."""
 
     side = None
+    seed: int = 0
 
-    def __init__(self, seed: Optional[int] = None):
-        self.seed = seed
-        self.id = "random" if seed is None else f"random:{seed}"
-
-    def with_seed(self, seed: int) -> "RandomMover":
-        return RandomMover(self.seed if self.seed is not None else seed)
+    @property
+    def id(self):
+        return f"random:{self.seed}"
 
     def admissible(self, state):
         return legal_moves(state)
 
     def choose(self, state):
-        seed = self.seed if self.seed is not None else 0
-        rng = random.Random(seed * 1_000_003 + sum(state.colored))
+        rng = random.Random(self.seed * 1_000_003 + sum(state.colored))
         return rng.choice(legal_moves(state))
 
 
+@dataclass(frozen=True, repr=False)
 class HumanPlayer(Strategy):
     """Interactive seat; the caller wires in a picker callback."""
 
     id = "human"
     side = None
-
-    def __init__(self, picker: Optional[Callable[[GameState, list[Move]], Move]] = None):
-        self.picker = picker
+    picker: Optional[Callable[[GameState, list[Move]], Move]] = None
 
     def admissible(self, state):
         return legal_moves(state)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -103,6 +104,12 @@ class TestSimulate:
         args = ["simulate", "3,3,2", "--colors", "4", "--alice", "random:7",
                 "--bob", "random:7", "--format", "json"]
         assert invoke(args) == invoke(args)
+
+    def test_no_seed_option(self):
+        # a random seat's seed is part of its name, `random:<seed>`
+        code, _ = invoke(["simulate", "3,3", "--colors", "3", "--alice", "random",
+                          "--bob", "random", "--seed", "1"])
+        assert code == 2
 
 
 class TestVerify:
@@ -264,6 +271,22 @@ class TestPlay:
         assert code == 0
         assert "invalid input" in text
         assert "invalid input '²'; try again" in text  # a digit that int() rejects
+
+    def test_same_names_same_game_as_simulate(self):
+        # `random` is `random:0` in both commands, whatever the seat
+        game = ["4,3,3", "--colors", "4", "--alice", "random", "--bob", "random"]
+        code, text = invoke(["simulate", *game, "--format", "json"])
+        assert code == 0
+        simulated = [(m["part"], m["color"], m["fresh"]) for m in json.loads(text)["moves"]]
+        code, text = invoke(["play", *game])
+        assert code == 0
+        played = [
+            (int(part), int(color), action == "fresh")
+            for part, color, action in re.findall(
+                r"plays part (\d+) with color (\d+) \((fresh|reuse)\)", text
+            )
+        ]
+        assert played == simulated
 
     def test_eof_aborts_with_usage_exit(self):
         code, text = invoke(
@@ -492,19 +515,16 @@ class TestArbitraryInput:
         colors=st.integers(-1, 8),
         seats=st.tuples(SEAT_NAMES, SEAT_NAMES),
         side=st.sampled_from(["alice", "bob", "carol"]),
-        seed=st.integers(-2, 5),
         universal=st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_game_commands(self, command, partition, colors, seats, side, seed, universal):
+    def test_game_commands(self, command, partition, colors, seats, side, universal):
         argv = [command, partition, "--colors", str(colors)]
         if command == "verify":
             argv += ["--side", side, "--strategy", seats[0]]
             argv += ["--universal"] if universal else []
         else:
             argv += ["--alice", seats[0], "--bob", seats[1]]
-        if command == "simulate":
-            argv += ["--seed", str(seed)]
         code, _ = invoke(argv, stdin_text="0\n" * 12)
         assert code in (0, 1, 2)
 

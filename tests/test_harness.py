@@ -312,6 +312,11 @@ K33 = Partition((3, 3))
         lambda: guarantee_suite(True),
         lambda: check_b1p_conjecture(2.0),
         lambda: check_nonoptimality_theorem(6.5),
+        # a shape count below 1 names no shapes: no vacuous pass
+        lambda: all_partitions(0),
+        lambda: check_b1p_conjecture(0),
+        lambda: guarantee_suite(-3),
+        lambda: scan(0),
     ],
     ids=[
         "Partition", "Partition.parse", "GameState", "get_strategy", "check_seat",
@@ -321,6 +326,8 @@ K33 = Partition((3, 3))
         "GameState-float-count", "GameState-bool-used", "WinVector-float-chi_g",
         "all_partitions-float-max_n", "scan-float-max_n", "guarantee_suite-bool-max_n",
         "check_b1p_conjecture-float-max_n", "check_nonoptimality_theorem-float-k",
+        "all_partitions-zero-max_n", "check_b1p_conjecture-zero-max_n",
+        "guarantee_suite-negative-max_n", "scan-zero-max_n",
     ],
 )
 def test_caller_errors_raise_input_error(call):

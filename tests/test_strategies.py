@@ -385,6 +385,15 @@ def test_random_strategy_is_seed_deterministic():
     assert seen_diff or p.n < 4
 
 
+def test_seats_are_values_fixed_by_name():
+    assert get_strategy("random") == get_strategy("random:0")
+    assert get_strategy("random").id == "random:0"
+    r7, r7b = get_strategy("random:7"), get_strategy("random:7")
+    assert r7 == r7b and hash(r7) == hash(r7b)
+    assert r7 != get_strategy("random:8")
+    assert get_strategy("human") == get_strategy("human")
+
+
 def test_human_requires_session():
     p = Partition.of([2, 2])
     human = get_strategy("human")
