@@ -22,12 +22,11 @@ from collections import Counter
 from typing import Optional
 
 from .core import (
-    ALICE,
-    BOB,
     GameState,
     InputError,
     Move,
     Partition,
+    check_budget,
     fixing_move_played,
 )
 from .formulas import bounds, table1_chi_g, table1_report
@@ -49,6 +48,7 @@ from .solver import (
     UNIVERSAL,
     WinVector,
     load_cache,
+    pinned_side,
     save_cache,
     win_vector,
 )
@@ -197,8 +197,7 @@ def _render_record(record: GameRecord, out) -> None:
 def _game_args(args) -> tuple[Partition, Strategy, Strategy]:
     """The board and both seats of a simulate or play command."""
     partition = _partition(args.partition)
-    if args.colors < 1:
-        raise InputError("color budget must be at least 1")
+    check_budget(partition, args.colors)
     return partition, get_strategy(args.alice), get_strategy(args.bob)
 
 
@@ -269,18 +268,19 @@ def cmd_play(args, out, inp) -> int:
 def cmd_verify(args, out, inp) -> int:
     partition = _partition(args.partition)
     strategy = get_strategy(args.strategy)
+    side = pinned_side(strategy)
     mode = UNIVERSAL if args.universal else DETERMINISTIC
-    result = verify_guarantee(partition, args.colors, args.side, strategy, mode)
+    result = verify_guarantee(partition, args.colors, side, strategy, mode)
     if result.passed:
         _emit(
             out,
-            f"PASS: {args.side} playing {strategy.id} meets its goal on "
+            f"PASS: {side} playing {strategy.id} meets its goal on "
             f"{partition.label()} with {args.colors} colors ({mode})",
         )
         return 0
     _emit(
         out,
-        f"FAIL: {args.side} playing {strategy.id} does not meet its goal on "
+        f"FAIL: {side} playing {strategy.id} does not meet its goal on "
         f"{partition.label()} with {args.colors} colors ({mode}); counterexample:",
     )
     _render_record(result.counterexample, out)
@@ -393,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify)
     p.add_argument("partition")
     p.add_argument("--colors", type=int, required=True)
-    p.add_argument("--side", choices=(ALICE, BOB), required=True)
     p.add_argument("--strategy", required=True)
     p.add_argument("--universal", action="store_true")
 

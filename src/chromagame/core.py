@@ -162,12 +162,24 @@ class GameState(_GameFields):
             raise InputError(f"last move {last_move} names no part with a colored vertex")
         return super().__new__(cls, partition, colored, budget, used, last_move)
 
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through it, so it checks too
+        return cls(*iterable)
+
     @property
     def turn(self) -> str:
         return ALICE if sum(self.colored) % 2 == 0 else BOB
 
 
 _tuple_new = tuple.__new__  # builds a GameState without its checks
+
+
+def check_budget(partition: Partition, budget: int) -> None:
+    """Raise InputError unless `budget` is an int in 1..n."""
+    if type(budget) is not int:
+        raise InputError(f"budget must be an integer, not {budget!r}")
+    if not 1 <= budget <= partition.n:
+        raise InputError(f"budget must be in 1..{partition.n}")
 
 
 def initial_state(partition: Partition, budget: int) -> GameState:

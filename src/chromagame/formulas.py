@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Callable, Optional
 
-from .core import ALICE, BOB, Partition
+from .core import ALICE, Partition
+from .strategies import get_strategy
 
 EXACT = "exact"
 UPPER = "upper"
@@ -82,16 +83,15 @@ def table1_report(partition: Partition) -> BoundReport:
 
 @dataclass(frozen=True)
 class Guarantee:
-    """One strategy guarantee of the paper: `strategy`, seated as `side`,
-    reaches its goal with `budget(partition)` colors on every shape whose
-    `conditions` hold. An Alice guarantee proves chi_g <= budget; a Bob
-    guarantee proves that budget colors do not suffice, chi_g >= budget + 1.
-    `source` names the bound it proves; each condition is a test paired with
-    the reason reported when it fails."""
+    """One strategy guarantee of the paper: the rule named `strategy`, in
+    its own seat, reaches its goal with `budget(partition)` colors on every
+    shape whose `conditions` hold. An Alice rule's guarantee proves chi_g <=
+    budget; a Bob rule's proves that budget colors do not suffice, chi_g >=
+    budget + 1. `source` names the bound it proves; each condition is a
+    test paired with the reason reported when it fails."""
 
     label: str
     source: str
-    side: str
     strategy: str
     budget: Callable[[Partition], int]
     conditions: tuple[tuple[Callable[[Partition], bool], str], ...] = ()
@@ -129,25 +129,29 @@ def fresh_starter_budget(partition: Partition) -> int:
     return 2 * partition.k - 1
 
 
-# Records of one source are adjacent, in the order `bounds` reports them.
+# Records of one source are adjacent, in the order `bounds` reports them,
+# and their rules play one seat.
 GUARANTEES = (
-    Guarantee("alice_fresh_starter", "cor_a1", ALICE, "a1", fresh_starter_budget),
-    Guarantee("alice_triple_anchor", "cor_a2", ALICE, "a2", lambda p: 2 * p.k - 2, (_K3, _TRIPLE)),
-    Guarantee("alice_odd_opener", "cor_a3", ALICE, "a3", ceil_half_sum, (_ODD,)),
-    Guarantee("bob_echo_large_parts", "cor_b1_main", BOB, "b1", lambda p: 2 * p.k - 2,
+    Guarantee("alice_fresh_starter", "cor_a1", "a1", fresh_starter_budget),
+    Guarantee("alice_triple_anchor", "cor_a2", "a2", lambda p: 2 * p.k - 2, (_K3, _TRIPLE)),
+    Guarantee("alice_odd_opener", "cor_a3", "a3", ceil_half_sum, (_ODD,)),
+    Guarantee("bob_echo_large_parts", "cor_b1_main", "b1", lambda p: 2 * p.k - 2,
               ((lambda p: p.sizes[-1] >= 4, "smallest part is below 4"),)),
-    Guarantee("bob_echo_no_triples", "cor_b1_2", BOB, "b1",
+    Guarantee("bob_echo_no_triples", "cor_b1_2", "b1",
               lambda p: min(2 * p.k - 2, ceil_half_sum(p) - 1), (_K3, _NO_SINGLETON, _NO_TRIPLE)),
-    Guarantee("bob_echo_no_triples_even", "cor_b1_2", BOB, "b1", lambda p: 2 * p.k - 2,
+    Guarantee("bob_echo_no_triples_even", "cor_b1_2", "b1", lambda p: 2 * p.k - 2,
               (_K3, _NO_SINGLETON, _NO_TRIPLE, _EVEN)),
     # The size-3 counterpart also needs no singletons: with one present the
     # bound is simply false (e.g. three colors finish K_{3,3,1}).
-    Guarantee("bob_echo_with_triple", "cor_b1_3", BOB, "b1",
+    Guarantee("bob_echo_with_triple", "cor_b1_3", "b1",
               lambda p: min(2 * p.k - 3, ceil_half_sum(p) - 1), (_K3, _TRIPLE, _NO_SINGLETON)),
-    Guarantee("bob_echo_with_triple_even", "cor_b1_3", BOB, "b1", lambda p: 2 * p.k - 3,
+    Guarantee("bob_echo_with_triple_even", "cor_b1_3", "b1", lambda p: 2 * p.k - 3,
               (_K3, _TRIPLE, _NO_SINGLETON, _EVEN)),
 )
-_BY_SOURCE = [(source, tuple(group)) for source, group in groupby(GUARANTEES, lambda g: g.source)]
+_BY_SOURCE = [  # (source, the kind of bound its rules' seat proves, its records)
+    (source, UPPER if get_strategy(first.strategy).side == ALICE else LOWER, (first, *rest))
+    for source, (first, *rest) in groupby(GUARANTEES, lambda g: g.source)
+]
 
 
 def bounds(partition: Partition) -> list[BoundReport]:
@@ -157,9 +161,8 @@ def bounds(partition: Partition) -> list[BoundReport]:
     that apply, its lower bound the largest Bob budget plus one; when none
     applies, the reason is the first failing condition of its first record."""
     reports = [table1_report(partition)]
-    for source, group in _BY_SOURCE:
+    for source, kind, group in _BY_SOURCE:
         values = [g.budget(partition) for g in group if g.failure(partition) is None]
-        kind = UPPER if group[0].side == ALICE else LOWER
         if not values:
             reports.append(BoundReport(source, kind, None, reason=group[0].failure(partition)))
         else:

@@ -16,6 +16,7 @@ from .core import (
     Move,
     Partition,
     apply_move,
+    check_budget,
     initial_state,
     legal_moves,
     status,
@@ -107,13 +108,6 @@ def _value(key: tuple, memo: dict[tuple, bool]) -> bool:
     return memo[key]
 
 
-def _check_budget(partition: Partition, budget: int) -> None:
-    if type(budget) is not int:
-        raise InputError(f"budget must be an integer, not {budget!r}")
-    if not 1 <= budget <= partition.n:
-        raise InputError(f"budget must be in 1..{partition.n}")
-
-
 def check_mode(mode: str) -> None:
     if mode not in (DETERMINISTIC, UNIVERSAL):
         raise InputError(f"mode must be {DETERMINISTIC!r} or {UNIVERSAL!r}, not {mode!r}")
@@ -122,7 +116,7 @@ def check_mode(mode: str) -> None:
 def alice_wins(partition: Partition, budget: int) -> bool:
     """True iff Alice has a winning strategy with exactly `budget` colors:
     iff budget >= chi_g, by `win_vector`'s argument."""
-    _check_budget(partition, budget)  # before the solve, which may be long
+    check_budget(partition, budget)  # before the solve, which may be long
     return win_vector(partition).alice_wins(budget)
 
 
@@ -143,7 +137,7 @@ class WinVector:
             raise InputError(f"chi_g outside {k}..{ceiling} on {self.partition}: {self.chi_g}")
 
     def alice_wins(self, budget: int) -> bool:
-        _check_budget(self.partition, budget)
+        check_budget(self.partition, budget)
         return budget >= self.chi_g
 
     def bitstring(self) -> str:
@@ -371,6 +365,14 @@ class _RestrictedSearch:
         return [s.last_move for s in states[1:]]
 
 
+def pinned_side(strategy: Strategy) -> str:
+    """The seat of a rule the pinned search can hold to. `random` and
+    `human` have none: they pick by part order, which its keys drop."""
+    if strategy.side is None:
+        raise InapplicableStrategyError(f"{strategy.id} is not an analyzed rule")
+    return strategy.side
+
+
 def restricted_value(
     partition: Partition,
     budget: int,
@@ -395,10 +397,9 @@ def refute_restricted(
     strategy = as_strategy(strategy)
     if fixed_side not in (ALICE, BOB):
         raise InputError(f"fixed_side must be {ALICE!r} or {BOB!r}")
-    _check_budget(partition, budget)
+    check_budget(partition, budget)
     check_mode(mode)
     check_seat(strategy, partition, fixed_side)
-    if strategy.side is None:  # random, human: they pick by part order, which keys drop
-        raise InapplicableStrategyError(f"{strategy.id} is not an analyzed rule")
+    pinned_side(strategy)
     state = initial_state(partition, budget)
     return _RestrictedSearch(fixed_side, mode).refutation(state, strategy)

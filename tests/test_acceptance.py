@@ -160,8 +160,8 @@ def test_criterion_6_b1p_conjecture():
     report(
         "criterion-6",
         replay_ok and not rep.violations,
-        f"{rep.partitions_checked} partitions, {rep.cases_checked} sub-threshold "
-        f"budgets, {len(rep.violations)} counterexamples (all replay-validated)",
+        f"{rep.partitions_checked} partitions, {rep.cases_checked} checked at chi_g - 1, "
+        f"{len(rep.violations)} counterexamples (all replay-validated)",
     )
 
 

@@ -115,28 +115,23 @@ class TestSimulate:
 class TestVerify:
     def test_pass_exit_zero(self):
         code, text = invoke(
-            ["verify", "4,4,4", "--colors", "4", "--side", "bob", "--strategy", "b1"]
+            ["verify", "4,4,4", "--colors", "4", "--strategy", "b1"]
         )
-        assert code == 0 and text.startswith("PASS")
+        assert code == 0 and text.startswith("PASS: bob playing b1")
 
     def test_fail_exit_one_with_counterexample(self):
-        code, text = invoke(
-            ["verify", "4,4,4", "--colors", "4", "--side", "alice", "--strategy", "a1"]
-        )
+        code, text = invoke(["verify", "4,4,4", "--colors", "4", "--strategy", "a1"])
         assert code == 1
         assert "FAIL" in text and "outcome: bob_won" in text
 
     def test_universal_flag(self):
         code, text = invoke(
-            ["verify", "3,3,3", "--colors", "4", "--side", "alice",
-             "--strategy", "a2", "--universal"]
+            ["verify", "3,3,3", "--colors", "4", "--strategy", "a2", "--universal"]
         )
         assert code == 0 and "universal" in text
 
     def test_fail_rendering_literal(self):
-        code, text = invoke(
-            ["verify", "4,4,4", "--colors", "4", "--side", "alice", "--strategy", "a1"]
-        )
+        code, text = invoke(["verify", "4,4,4", "--colors", "4", "--strategy", "a1"])
         assert code == 1
         assert text == (
             "FAIL: alice playing a1 does not meet its goal on K_{4,4,4} with 4 colors "
@@ -149,20 +144,28 @@ class TestVerify:
             "outcome: bob_won using 4 colors\n"
         )
 
-    def test_inapplicable_is_usage_error(self):
-        code, _text = invoke(
-            ["verify", "5,5,1", "--colors", "3", "--side", "alice", "--strategy", "a2"]
-        )
-        assert code == 2
+    def test_inapplicable_is_usage_error(self, capsys):
+        assert invoke(["verify", "5,5,1", "--colors", "3", "--strategy", "a2"]) == (2, "")
+        assert capsys.readouterr().err == "error: a2 is not applicable to K_{5,5,1}\n"
 
     def test_side_mismatch_message_shared_with_simulate(self, capsys):
-        message = "error: a1 is a rule for alice; it cannot play as bob\n"
-        for argv in (
-            ["verify", "3,3", "--colors", "3", "--side", "bob", "--strategy", "a1"],
-            ["simulate", "3,3", "--colors", "3", "--alice", "a1", "--bob", "a1"],
-        ):
-            assert invoke(argv) == (2, "")
-            assert capsys.readouterr().err == message
+        # `verify` seats a rule at its own side, so only `simulate` and
+        # `play` can put it in the other seat.
+        argv = ["simulate", "3,3", "--colors", "3", "--alice", "a1", "--bob", "a1"]
+        assert invoke(argv) == (2, "")
+        assert capsys.readouterr().err == "error: a1 is a rule for alice; it cannot play as bob\n"
+
+    def test_no_side_option(self, capsys):
+        # the rule names its seat
+        code, _ = invoke(["verify", "4,4,4", "--colors", "4", "--side", "bob", "--strategy", "b1"])
+        assert code == 2
+        assert "unrecognized arguments: --side bob" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,rule", [("random:3", "random:3"), ("random", "random:0"),
+                                           ("human", "human")])
+    def test_unanalyzed_seat_is_usage_error(self, name, rule, capsys):
+        assert invoke(["verify", "2,2", "--colors", "2", "--strategy", name]) == (2, "")
+        assert capsys.readouterr().err == f"error: {rule} is not an analyzed rule\n"
 
 
 class TestScan:
@@ -373,12 +376,12 @@ class TestUsageErrors:
             ["solve", "banana"],
             ["solve", "0,2"],
             ["simulate", "3,3", "--colors", "3", "--alice", "a9", "--bob", "b1"],
-            ["verify", "3,3", "--colors", "0", "--side", "alice", "--strategy", "a1"],
+            ["verify", "3,3", "--colors", "0", "--strategy", "a1"],
             ["nosuchcommand"],
             [],
             ["simulate", "3,3", "--colors", "0", "--alice", "a1", "--bob", "b1"],
             ["play", "3,3", "--colors", "0", "--alice", "a1", "--bob", "b1"],
-            ["verify", "2,2", "--colors", "2", "--side", "bob", "--strategy", "random:0"],
+            ["verify", "2,2", "--colors", "2", "--strategy", "random:0"],
             ["scan", "--max-n", "6", "--jobs", "2"],
             ["scan", "--max-n", "-3"],
             ["scan", "--max-n", "0"],
@@ -406,10 +409,17 @@ class TestUsageErrors:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "play"])
+    def test_budget_above_n_is_usage_error(self, command, capsys):
+        # `play` refuses before it prints its header
+        argv = [command, "3,3,3", "--colors", "10", "--alice", "a1", "--bob", "b1"]
+        assert invoke(argv) == (2, "")
+        assert capsys.readouterr().err == "error: budget must be in 1..9\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
-            ["verify", "3,3,3", "--colors", "4", "--side", "alice", "--strategy", "a2"],
+            ["verify", "3,3,3", "--colors", "4", "--strategy", "a2"],
             ["conjecture", "nonopt", "--k", "6"],
         ],
     )
@@ -514,14 +524,13 @@ class TestArbitraryInput:
         partition=SMALL_PARTITION,
         colors=st.integers(-1, 8),
         seats=st.tuples(SEAT_NAMES, SEAT_NAMES),
-        side=st.sampled_from(["alice", "bob", "carol"]),
         universal=st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_game_commands(self, command, partition, colors, seats, side, universal):
+    def test_game_commands(self, command, partition, colors, seats, universal):
         argv = [command, partition, "--colors", str(colors)]
         if command == "verify":
-            argv += ["--side", side, "--strategy", seats[0]]
+            argv += ["--strategy", seats[0]]
             argv += ["--universal"] if universal else []
         else:
             argv += ["--alice", seats[0], "--bob", seats[1]]

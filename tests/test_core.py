@@ -16,6 +16,7 @@ from chromagame.core import (
     GameState,
     GameStatus,
     IllegalMoveError,
+    InputError,
     Move,
     Partition,
     apply_move,
@@ -112,6 +113,13 @@ class TestGameState:
             GameState(Partition((2, 2)), (0, 0), budget=0)
         with pytest.raises(ValueError, match="budget"):
             initial_state(Partition((2, 2)), budget=0)
+
+    def test_replace_checks_the_new_state(self):
+        # Formerly an unchecked state that `status` read as ONGOING.
+        s = initial_state(Partition((2, 2)), 3)
+        with pytest.raises(InputError):
+            s._replace(colored=(9, -1), budget=0)
+        assert s._replace(budget=4) == initial_state(Partition((2, 2)), 4)
 
 
 class TestLegalMoves:

@@ -35,7 +35,13 @@ from chromagame.harness import (
     simulate,
     verify_guarantee,
 )
-from chromagame.solver import WinVector, alice_wins, refute_restricted, restricted_value
+from chromagame.solver import (
+    WinVector,
+    alice_wins,
+    refute_restricted,
+    restricted_value,
+    win_vector,
+)
 from chromagame.strategies import (
     CompositeOpening,
     InapplicableStrategyError,
@@ -232,14 +238,13 @@ class TestSuites:
             for g in GUARANTEES:
                 budget = g.budget(partition)
                 if g.failure(partition) is None and 1 <= budget <= partition.n:
-                    res = verify_guarantee(partition, budget, g.side, g.strategy)
+                    res = verify_guarantee(partition, budget, get_strategy(g.strategy).side,
+                                           g.strategy)
                     assert res.passed, (g.label, partition, budget)
                     cases += 1
         assert cases == 259
 
     def test_guarantees_bound_the_solver(self):
-        from chromagame.solver import win_vector
-
         for case in guarantee_suite(8):
             vec = win_vector(case.partition)
             if case.side == ALICE:
@@ -291,6 +296,9 @@ K33 = Partition((3, 3))
         lambda: GameState(K33, (4, 0), 3),
         lambda: get_strategy("a9"),
         lambda: simulate(K33, 3, "b1", "b1"),  # a Bob rule in Alice's seat
+        # a budget above n, which every command refuses
+        lambda: simulate(Partition((3, 3, 3)), 10**6, "a1", "b1"),
+        lambda: record_playout(K33, 7, [], "x", "y"),
         lambda: choose_move(get_strategy("a1"), GameState(K33, (3, 3), 2, 2)),  # game over
         lambda: alice_wins(K33, 7),
         lambda: refute_restricted(K33, 3, ALICE, "a1", "Universal"),
@@ -320,6 +328,7 @@ K33 = Partition((3, 3))
     ],
     ids=[
         "Partition", "Partition.parse", "GameState", "get_strategy", "check_seat",
+        "simulate-budget-above-n", "record_playout-budget-above-n",
         "_check_turn", "_check_budget", "check_mode", "fixed_side", "WinVector",
         "from_cache_line", "all_partitions", "check_nonoptimality_theorem",
         "simulate-float-budget", "alice_wins-float-budget", "restricted_value-float-budget",
@@ -343,6 +352,13 @@ class TestConjectures:
         assert report.passed
         assert report.partitions_checked == len(all_partitions(8))
         assert report.cases_checked > 0
+
+    def test_b1p_checks_one_budget_per_shape(self):
+        """chi_g - 1 settles every budget below chi_g, as a Bob rule's
+        verdict is a down-set in the budget; chi_g = 1 leaves none."""
+        report = check_b1p_conjecture(10)
+        shapes = [p for p in all_partitions(10) if win_vector(p).chi_g >= 2]
+        assert report.cases_checked == len(shapes) == 138 - 10  # all but one part
 
     def test_nonoptimality_theorem_k6(self):
         report = check_nonoptimality_theorem(6)
