@@ -12,7 +12,8 @@ reused one.
 
 A `GameState` is therefore a plain record: the partition, one colored
 count per part (`colored`, aligned with `partition.sizes`), the budget, the
-colors used and the last move; `GameState` and `Move` are named tuples.
+colors used and the last move; `Partition`, `GameState` and `Move` are
+named tuples.
 Each move colors one vertex, so the side to move is the parity of the
 colored total. The rules read the counts as whole tuples: Alice has won iff
 `colored == partition.sizes`, and every part is started iff
@@ -27,7 +28,6 @@ impossible.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 ALICE = "alice"
@@ -53,20 +53,28 @@ class GameOverError(ValueError):
     """An operation that needs an ongoing game was applied to a finished one."""
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Part sizes r_1 >= r_2 >= ... >= r_k of a complete multipartite graph."""
-
+class _PartitionFields(NamedTuple):
     sizes: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sizes", tuple(self.sizes))
-        if not self.sizes:
+
+class Partition(_PartitionFields):
+    """Part sizes r_1 >= r_2 >= ... >= r_k of a complete multipartite graph."""
+
+    __slots__ = ()
+
+    def __new__(cls, sizes):
+        sizes = tuple(sizes)
+        if not sizes:
             raise InputError("partition must have at least one part")
-        if any(type(r) is not int or r < 1 for r in self.sizes):  # bool subclasses int
+        if any(type(r) is not int or r < 1 for r in sizes):  # bool subclasses int
             raise InputError("part sizes must be positive integers")
-        if any(a < b for a, b in zip(self.sizes, self.sizes[1:])):
+        if any(a < b for a, b in zip(sizes, sizes[1:])):
             raise InputError("part sizes must be sorted non-increasing")
+        return super().__new__(cls, sizes)
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through it, so it checks too
+        return cls(*iterable)
 
     @classmethod
     def of(cls, sizes: Iterable[int]) -> "Partition":
@@ -131,16 +139,18 @@ class _GameFields(NamedTuple):
 class GameState(_GameFields):
     """Immutable mid-game position; all operations are pure functions.
 
-    Building a state checks it: integer counts, budget and `used`, one
-    count per part, each in 0..size, a budget of at least 1, `used` between
-    the number of started parts (each took its own first color) and the
-    budget, and a last move, if any, into a part that has a colored vertex.
+    Building a state checks it: a `Partition`, integer counts, budget and
+    `used`, one count per part, each in 0..size, a budget of at least 1,
+    `used` between the number of started parts (each took its own first
+    color) and the budget, and a last move, if any, into a part that has a
+    colored vertex.
     `apply_move` builds its successors as plain tuples, without these checks.
     """
 
     __slots__ = ()
 
     def __new__(cls, partition, colored, budget, used=0, last_move=None):
+        check_partition(partition)
         colored = tuple(colored)
         sizes = partition.sizes
         if not all(type(x) is int for x in (*colored, budget, used)):
@@ -174,8 +184,17 @@ class GameState(_GameFields):
 _tuple_new = tuple.__new__  # builds a GameState without its checks
 
 
+def check_partition(partition: Partition) -> None:
+    """Raise InputError unless `partition` is a `Partition`: a plain tuple of
+    sizes is refused, as it has none of a partition's checks or fields."""
+    if not isinstance(partition, Partition):
+        raise InputError(f"partition must be a Partition, not {partition!r}")
+
+
 def check_budget(partition: Partition, budget: int) -> None:
-    """Raise InputError unless `budget` is an int in 1..n."""
+    """Raise InputError unless `partition` is a `Partition` and `budget` an
+    int in 1..n."""
+    check_partition(partition)
     if type(budget) is not int:
         raise InputError(f"budget must be an integer, not {budget!r}")
     if not 1 <= budget <= partition.n:
@@ -183,6 +202,7 @@ def check_budget(partition: Partition, budget: int) -> None:
 
 
 def initial_state(partition: Partition, budget: int) -> GameState:
+    check_partition(partition)  # before reading its `k`
     return GameState(partition, (0,) * partition.k, budget)
 
 

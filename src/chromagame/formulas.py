@@ -9,9 +9,8 @@ the only authority.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import ALICE, Partition
 from .strategies import get_strategy
@@ -21,14 +20,24 @@ UPPER = "upper"
 LOWER = "lower"
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """One bound (or exact value) with its provenance and applicability."""
-
+class _BoundFields(NamedTuple):
     source: str  # table1 | cor_a1 | cor_a2 | cor_a3 | cor_b1_main | cor_b1_2 | cor_b1_3
     kind: str  # exact | upper | lower
     value: Optional[int]  # None when the report does not apply
-    reason: str = field(default="", compare=False, kw_only=True)
+    reason: str = ""
+
+
+class BoundReport(_BoundFields):
+    """One bound (or exact value) with its provenance and applicability.
+    `reason` is keyword-only, so no positional argument sets it."""
+
+    __slots__ = ()
+
+    def __new__(cls, source, kind, value, *, reason=""):
+        return super().__new__(cls, source, kind, value, reason)
+
+    def __getnewargs_ex__(self):  # for copy and pickle, which call `__new__`
+        return self[:3], {"reason": self.reason}
 
     @property
     def applicable(self) -> bool:
@@ -81,8 +90,7 @@ def table1_report(partition: Partition) -> BoundReport:
     return BoundReport("table1", EXACT, value)
 
 
-@dataclass(frozen=True)
-class Guarantee:
+class Guarantee(NamedTuple):
     """One strategy guarantee of the paper: the rule named `strategy`, in
     its own seat, reaches its goal with `budget(partition)` colors on every
     shape whose `conditions` hold. An Alice rule's guarantee proves chi_g <=

@@ -5,8 +5,7 @@ closed-form table, and the two conjecture checks."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .core import (
     ALICE,
@@ -44,8 +43,7 @@ from .strategies import (
 # transcripts
 
 
-@dataclass(frozen=True)
-class MoveRecord:
+class MoveRecord(NamedTuple):
     index: int
     mover: str
     part: int
@@ -62,8 +60,7 @@ class MoveRecord:
         }
 
 
-@dataclass(frozen=True)
-class GameRecord:
+class GameRecord(NamedTuple):
     """Full transcript of one play-through.
 
     Concrete colors follow the bookkeeping convention: a fresh color takes
@@ -184,8 +181,7 @@ def simulate(
 # guarantee verification
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     partition: Partition
     budget: int
     side: str
@@ -257,8 +253,7 @@ def all_partitions(max_n: int, filter_: str = "all") -> list[Partition]:
     return out
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     partition: Partition
     n: int
     k: int
@@ -318,15 +313,14 @@ def scan_csv(rows: list[ScanRow]) -> str:
 # guarantee suites over all small shapes
 
 
-@dataclass(frozen=True)
-class SuiteCase:
+class SuiteCase(NamedTuple):
     label: str
     partition: Partition
     budget: int
     side: str
     strategy: str
     passed: bool
-    counterexample: Optional[GameRecord] = field(default=None, compare=False)
+    counterexample: Optional[GameRecord] = None
 
 
 def guarantee_suite(max_n: int, mode: str = DETERMINISTIC) -> list[SuiteCase]:
@@ -348,8 +342,7 @@ def guarantee_suite(max_n: int, mode: str = DETERMINISTIC) -> list[SuiteCase]:
 # conjecture checks
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     max_n: int
     mode: str
     partitions_checked: int
@@ -386,8 +379,7 @@ def check_b1p_conjecture(max_n: int, mode: str = DETERMINISTIC) -> ConjectureRep
 NONOPT_ALICE_RULES = ("a1", "a1p", "a2", "a2p", "a3", "a3p")
 
 
-@dataclass(frozen=True)
-class NonOptimalityReport:
+class NonOptimalityReport(NamedTuple):
     """Outcome of the composite-vs-simple-rules check on K_{4,3,...,3,1,1}."""
 
     partition: Partition

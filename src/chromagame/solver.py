@@ -4,8 +4,7 @@ The test suite checks the reduction against the vertex-explicit oracle."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     ALICE,
@@ -17,6 +16,7 @@ from .core import (
     Partition,
     apply_move,
     check_budget,
+    check_partition,
     initial_state,
     legal_moves,
     status,
@@ -120,21 +120,30 @@ def alice_wins(partition: Partition, budget: int) -> bool:
     return win_vector(partition).alice_wins(budget)
 
 
-@dataclass(frozen=True)
-class WinVector:
+class _WinVectorFields(NamedTuple):
+    partition: Partition
+    chi_g: int
+
+
+class WinVector(_WinVectorFields):
     """Optimal-play outcome for every budget t = 1..n on one partition:
     Alice wins iff t >= chi_g (see `win_vector`). chi_g lies in k..min(n,
     2k - 1), as k colors are needed and `fresh_starter_budget` suffices."""
 
-    partition: Partition
-    chi_g: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.chi_g) is not int:
-            raise InputError(f"chi_g must be an integer, not {self.chi_g!r}")
-        k, ceiling = self.partition.k, min(self.partition.n, fresh_starter_budget(self.partition))
-        if not k <= self.chi_g <= ceiling:
-            raise InputError(f"chi_g outside {k}..{ceiling} on {self.partition}: {self.chi_g}")
+    def __new__(cls, partition, chi_g):
+        check_partition(partition)
+        if type(chi_g) is not int:
+            raise InputError(f"chi_g must be an integer, not {chi_g!r}")
+        k, ceiling = partition.k, min(partition.n, fresh_starter_budget(partition))
+        if not k <= chi_g <= ceiling:
+            raise InputError(f"chi_g outside {k}..{ceiling} on {partition}: {chi_g}")
+        return super().__new__(cls, partition, chi_g)
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through it, so it checks too
+        return cls(*iterable)
 
     def alice_wins(self, budget: int) -> bool:
         check_budget(self.partition, budget)
@@ -188,6 +197,7 @@ def win_vector(partition: Partition, memo: Optional[dict[tuple, bool]] = None) -
     loss; a budget below k is `decided` lost at the root, so it ends by
     k - 1. Keys hold colors left, not the budget, so one `memo` serves
     every budget and shape."""
+    check_partition(partition)
     memo = {} if memo is None else memo
     won = min(fresh_starter_budget(partition), partition.n)
     while _value((partition.sizes, 0, won - 1, ALICE), memo):

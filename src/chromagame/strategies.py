@@ -45,8 +45,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import random
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import (
     ALICE,
@@ -56,6 +55,7 @@ from .core import (
     InputError,
     Move,
     Partition,
+    check_partition,
     legal_moves,
     partially_colored_parts,
     status,
@@ -73,7 +73,11 @@ class StrategyTotalityError(RuntimeError):
 
 class Strategy:
     """Base class: a deterministic move rule plus its admissible-move sets.
-    A rule is a value; `advance` gives the value it takes after each move."""
+    A rule is a value; `advance` gives the value it takes after each move.
+    The rules here are named tuples with this class as a mixin, each with
+    `__repr__ = Strategy.__repr__`, as the tuple's own comes first."""
+
+    __slots__ = ()
 
     id: str = ""
     side: Optional[str] = None  # ALICE, BOB, or None when either seat works
@@ -200,20 +204,23 @@ def _start_smallest(state: GameState) -> list[Move]:
 # rules
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Rule(Strategy):
+class _RuleFields(NamedTuple):
+    id: str
+    side: Optional[str]
+    clauses: tuple[Callable[[GameState], list[Move]], ...]
+    applies: Callable[[Partition], bool] = lambda partition: True
+    anchor: Optional[Callable[[Partition], int]] = None
+
+
+class Rule(_RuleFields, Strategy):
     """An analyzed rule as a value: its admissible moves are the first
     non-empty result among its `clauses`, in order ([] if none matches).
     `applies` is its shape test. `anchor`, if given, names the part the
     rule anchors on, and the anchor clauses on that part come before
     `clauses`."""
 
-    # field() gives no default, where Strategy's class attribute would
-    id: str = field()
-    side: Optional[str] = field()
-    clauses: tuple[Callable[[GameState], list[Move]], ...]
-    applies: Callable[[Partition], bool] = lambda partition: True
-    anchor: Optional[Callable[[Partition], int]] = None
+    __slots__ = ()
+    __repr__ = Strategy.__repr__
 
     def is_applicable(self, partition):
         return self.applies(partition)
@@ -233,8 +240,17 @@ class Rule(Strategy):
         return None if self.anchor is None else self.anchor(state.partition)
 
 
-@dataclass(frozen=True, repr=False)
-class CompositeOpening(Strategy):
+class _CompositeFields(NamedTuple):
+    # The phase is a tuple whose head names it. It is the phase Alice last
+    # moved in (or moves in next), and it steps only on the opponent's replies:
+    #   ("open",)                 color a singleton
+    #   ("fill_singleton", vj)    claim the second singleton, then anchor vj
+    #   ("join_big",)             scripted reuse in the size-4 part
+    #   ("close_big",)            scripted completion of the size-4 part
+    phase: tuple = ("open",)
+
+
+class CompositeOpening(_CompositeFields, Strategy):
     """acomposite: scripted opening for K_{4,3,...,3,1,1} with k >= 6.
 
     Color a singleton; then, depending on the opponent's first reply, either
@@ -246,16 +262,10 @@ class CompositeOpening(Strategy):
     a part the opponent just opened.
     """
 
+    __slots__ = ()
+    __repr__ = Strategy.__repr__
     id = "acomposite"
     side = ALICE
-
-    # The phase is a tuple whose head names it. It is the phase Alice last
-    # moved in (or moves in next), and it steps only on the opponent's replies:
-    #   ("open",)                 color a singleton
-    #   ("fill_singleton", vj)    claim the second singleton, then anchor vj
-    #   ("join_big",)             scripted reuse in the size-4 part
-    #   ("close_big",)            scripted completion of the size-4 part
-    phase: tuple = ("open",)
 
     def is_applicable(self, partition):
         k = partition.k
@@ -290,12 +300,16 @@ class CompositeOpening(Strategy):
         return self.phase[1] if len(self.phase) > 1 else None
 
 
-@dataclass(frozen=True, repr=False)
-class RandomMover(Strategy):
+class _RandomFields(NamedTuple):
+    seed: int = 0
+
+
+class RandomMover(_RandomFields, Strategy):
     """Seeded uniform choice among all legal moves."""
 
+    __slots__ = ()
+    __repr__ = Strategy.__repr__
     side = None
-    seed: int = 0
 
     @property
     def id(self):
@@ -309,13 +323,17 @@ class RandomMover(Strategy):
         return rng.choice(legal_moves(state))
 
 
-@dataclass(frozen=True, repr=False)
-class HumanPlayer(Strategy):
+class _HumanFields(NamedTuple):
+    picker: Optional[Callable[[GameState, list[Move]], Move]] = None
+
+
+class HumanPlayer(_HumanFields, Strategy):
     """Interactive seat; the caller wires in a picker callback."""
 
+    __slots__ = ()
+    __repr__ = Strategy.__repr__
     id = "human"
     side = None
-    picker: Optional[Callable[[GameState, list[Move]], Move]] = None
 
     def admissible(self, state):
         return legal_moves(state)
@@ -361,7 +379,7 @@ STRATEGY_NAMES = tuple(_REGISTRY) + ("random:<seed>", "human")
 def _anchored(name: str, part: int) -> Rule:
     """The table's `name` row anchored on `part`, one value per (row, part)
     so that every route to a hand-over holds the same rule value."""
-    return replace(_REGISTRY[name], anchor=lambda partition: part)
+    return _REGISTRY[name]._replace(anchor=lambda partition: part)
 
 
 def get_strategy(name: str) -> Strategy:
@@ -395,7 +413,9 @@ def is_applicable(strategy: Strategy | str, partition: Partition) -> bool:
 def check_seat(strategy: Strategy, partition: Partition, seat: str) -> None:
     """Raise InapplicableStrategyError unless `strategy` may take `seat` on
     `partition`: the shape must suit the rule, and a rule for one side cannot
-    play the other (`random` and `human` take either seat)."""
+    play the other (`random` and `human` take either seat). A `partition`
+    that is not a `Partition` raises InputError first."""
+    check_partition(partition)
     if not strategy.is_applicable(partition):
         raise InapplicableStrategyError(
             f"{strategy.id} is not applicable to {partition.label()}"

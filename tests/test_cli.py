@@ -500,6 +500,25 @@ class TestClosedStdout:
         assert err == b""
 
 
+def test_import_loads_no_dataclasses():
+    """The records are named tuples, so importing the package and its
+    command line loads no `dataclasses`, which builds each class's methods
+    with `exec` at import. `-I -S` keeps the environment and site's `.pth`
+    imports out of the fresh interpreter; `sys.path` names only `src`."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import chromagame, chromagame.cli; "
+        "print(chromagame.__file__); print('dataclasses' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    path, loaded = proc.stdout.splitlines()
+    assert path.startswith(src)
+    assert loaded == "False"
+
+
 SEAT_NAMES = st.sampled_from(
     ["a1", "a2", "a3", "a1p", "a2p", "a3p", "acomposite", "b1", "b1p",
      "random", "random:3", "random:x", "human", "a9", "", "-x"]

@@ -4,6 +4,9 @@ their side conditions."""
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from chromagame.core import Partition
@@ -172,6 +175,11 @@ class TestBounds:
         """`applicable` is read from the value, so no argument sets it."""
         with pytest.raises(TypeError):
             BoundReport("cor_a1", "upper", 5, True)
+
+    def test_copies_keep_the_keyword_only_reason(self):
+        report = BoundReport("table1", "exact", None, reason="singleton present with k >= 3")
+        assert copy.copy(report) == pickle.loads(pickle.dumps(report)) == report
+        assert report != report._replace(reason="")
 
     def test_sandwich_equals_table_for_k_ge_3(self):
         for p in all_partitions(12, "no-singletons"):

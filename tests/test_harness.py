@@ -325,6 +325,15 @@ K33 = Partition((3, 3))
         lambda: check_b1p_conjecture(0),
         lambda: guarantee_suite(-3),
         lambda: scan(0),
+        # a plain tuple of sizes, which has none of a `Partition`'s checks
+        lambda: GameState((3, 3), (0, 0), 3),
+        lambda: initial_state((3, 3), 3),
+        lambda: win_vector((3, 3)),
+        lambda: WinVector((3, 3), 3),
+        lambda: alice_wins((3, 3), 3),
+        lambda: refute_restricted((3, 3), 3, ALICE, "a1"),
+        lambda: verify_guarantee((3, 3), 3, ALICE, "a1"),
+        lambda: simulate((3, 3), 3, "a2", "b1"),  # a2's shape test reads the partition
     ],
     ids=[
         "Partition", "Partition.parse", "GameState", "get_strategy", "check_seat",
@@ -337,6 +346,9 @@ K33 = Partition((3, 3))
         "check_b1p_conjecture-float-max_n", "check_nonoptimality_theorem-float-k",
         "all_partitions-zero-max_n", "check_b1p_conjecture-zero-max_n",
         "guarantee_suite-negative-max_n", "scan-zero-max_n",
+        "GameState-tuple", "initial_state-tuple", "win_vector-tuple", "WinVector-tuple",
+        "alice_wins-tuple", "refute_restricted-tuple", "verify_guarantee-tuple",
+        "simulate-tuple",
     ],
 )
 def test_caller_errors_raise_input_error(call):
