@@ -4,7 +4,6 @@ two-player coloring game on complete multipartite graphs."""
 from .core import (
     ALICE,
     BOB,
-    GameOverError,
     GameState,
     GameStatus,
     IllegalMoveError,
@@ -56,7 +55,6 @@ __all__ = [
     "ALICE",
     "BOB",
     "BoundReport",
-    "GameOverError",
     "GameRecord",
     "GameState",
     "GameStatus",

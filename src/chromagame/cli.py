@@ -313,7 +313,8 @@ def cmd_scan(args, out, inp) -> int:
         _emit(out, csv_text.rstrip("\n"))
     disagreements = [r for r in rows if r.table1 is not None and not r.agrees]
     for r in disagreements:
-        _emit(out, f"DISAGREEMENT: {r.partition.label()} solver {r.chi_g} table {r.table1}")
+        vec = r.vector
+        _emit(out, f"DISAGREEMENT: {vec.partition.label()} solver {vec.chi_g} table {r.table1}")
     return 1 if disagreements else 0
 
 

@@ -49,10 +49,6 @@ class IllegalMoveError(ValueError):
     """A move violated the rules; the message carries the reason."""
 
 
-class GameOverError(ValueError):
-    """An operation that needs an ongoing game was applied to a finished one."""
-
-
 class _PartitionFields(NamedTuple):
     sizes: tuple[int, ...]
 
@@ -224,7 +220,7 @@ def status(state: GameState) -> GameStatus:
 def legal_moves(state: GameState) -> list[Move]:
     """All legal moves, ordered by (part index, fresh before reuse)."""
     if status(state) is not GameStatus.ONGOING:
-        raise GameOverError(f"game is over: {status(state).value}")
+        raise IllegalMoveError(f"game is over: {status(state).value}")
     moves: list[Move] = []
     has_budget = state.used < state.budget
     for i, (size, colored) in enumerate(zip(state.partition.sizes, state.colored)):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import groupby
 from typing import Callable, NamedTuple, Optional
 
-from .core import ALICE, Partition
+from .core import ALICE, Partition, check_partition
 from .strategies import get_strategy
 
 EXACT = "exact"
@@ -57,12 +57,14 @@ class BoundReport(_BoundFields):
 
 def ceil_half_sum(partition: Partition) -> int:
     """Sum over parts of ceil(r_i / 2)."""
+    check_partition(partition)
     return sum((r + 1) // 2 for r in partition.sizes)
 
 
 def table1_chi_g(partition: Partition) -> Optional[int]:
     """Exact game chromatic number per the summary table; None when the
     shape has a singleton with k >= 3 (no formula is known there)."""
+    check_partition(partition)
     sizes = partition.sizes
     k = partition.k
     if k == 1:
@@ -134,6 +136,7 @@ def fresh_starter_budget(partition: Partition) -> int:
     is ever stranded, and once every part is started the game is
     `solver.decided`.
     """
+    check_partition(partition)
     return 2 * partition.k - 1
 
 

@@ -24,6 +24,7 @@ from .core import (
 from .formulas import GUARANTEES, table1_chi_g
 from .solver import (
     DETERMINISTIC,
+    WinVector,
     alice_wins,
     check_mode,
     refute_restricted,
@@ -50,15 +51,6 @@ class MoveRecord(NamedTuple):
     color: int
     fresh: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "mover": self.mover,
-            "part": self.part,
-            "color": self.color,
-            "fresh": self.fresh,
-        }
-
 
 class GameRecord(NamedTuple):
     """Full transcript of one play-through.
@@ -78,15 +70,11 @@ class GameRecord(NamedTuple):
     colors_used: int
 
     def to_dict(self) -> dict:
+        """The JSON form, whose keys follow the field order."""
         return {
+            **self._asdict(),
             "partition": list(self.partition.sizes),
-            "budget": self.budget,
-            "alice": self.alice,
-            "bob": self.bob,
-            "moves": [m.to_dict() for m in self.moves],
-            "outcome": self.outcome,
-            "fixing_index": self.fixing_index,
-            "colors_used": self.colors_used,
+            "moves": [dict(zip(MoveRecord._fields, m)) for m in self.moves],
         }
 
     def move_list(self) -> list[Move]:
@@ -187,8 +175,13 @@ class VerifyResult(NamedTuple):
     side: str
     strategy: str
     mode: str
-    passed: bool
     counterexample: Optional[GameRecord]
+    label: str = ""  # the `GUARANTEES` record a suite case checks
+
+    @property
+    def passed(self) -> bool:
+        """True iff the search found no refuting line."""
+        return self.counterexample is None
 
 
 def verify_guarantee(
@@ -212,7 +205,6 @@ def verify_guarantee(
         side=side,
         strategy=strat.id,
         mode=mode,
-        passed=line is None,
         counterexample=counterexample,
     )
 
@@ -254,21 +246,22 @@ def all_partitions(max_n: int, filter_: str = "all") -> list[Partition]:
 
 
 class ScanRow(NamedTuple):
-    partition: Partition
-    n: int
-    k: int
-    chi_g: int
+    vector: WinVector
     table1: Optional[int]
-    agrees: bool  # true iff the table applies and matches the solver
-    winvector: str
     ms: float
 
+    @property
+    def agrees(self) -> bool:
+        """True iff the table applies and matches the solver."""
+        return self.table1 is not None and self.table1 == self.vector.chi_g
+
     def to_csv(self) -> str:
+        vec, p = self.vector, self.vector.partition
         table = "na" if self.table1 is None else str(self.table1)
         return (
-            f"{self.partition},{self.n},{self.k},{self.chi_g},{table},"
+            f"{p},{p.n},{p.k},{vec.chi_g},{table},"
             f"{str(self.agrees).lower()},true,"  # monotone, by `win_vector`'s argument
-            f"{self.winvector},{self.ms:.1f}"
+            f"{vec.bitstring()},{self.ms:.1f}"
         )
 
 
@@ -279,17 +272,7 @@ def scan_one(partition: Partition, memo: dict[tuple, bool]) -> ScanRow:
     start = time.perf_counter()
     vec = win_vector(partition, memo)
     ms = (time.perf_counter() - start) * 1000.0
-    table = table1_chi_g(partition)
-    return ScanRow(
-        partition=partition,
-        n=partition.n,
-        k=partition.k,
-        chi_g=vec.chi_g,
-        table1=table,
-        agrees=table is not None and table == vec.chi_g,
-        winvector=vec.bitstring(),
-        ms=ms,
-    )
+    return ScanRow(vec, table1_chi_g(partition), ms)
 
 
 def scan(max_n: int, filter_: str = "all") -> list[ScanRow]:
@@ -301,7 +284,7 @@ def scan(max_n: int, filter_: str = "all") -> list[ScanRow]:
     """
     memo: dict[tuple, bool] = {}
     rows = [scan_one(p, memo) for p in all_partitions(max_n, filter_)]
-    rows.sort(key=lambda r: (r.n, r.partition.sizes))
+    rows.sort(key=lambda r: (r.vector.partition.n, r.vector.partition.sizes))
     return rows
 
 
@@ -313,29 +296,18 @@ def scan_csv(rows: list[ScanRow]) -> str:
 # guarantee suites over all small shapes
 
 
-class SuiteCase(NamedTuple):
-    label: str
-    partition: Partition
-    budget: int
-    side: str
-    strategy: str
-    passed: bool
-    counterexample: Optional[GameRecord] = None
-
-
-def guarantee_suite(max_n: int, mode: str = DETERMINISTIC) -> list[SuiteCase]:
+def guarantee_suite(max_n: int, mode: str = DETERMINISTIC) -> list[VerifyResult]:
     """Verify every guarantee of `GUARANTEES` that applies to every shape with
     r_k >= 2 and n <= max_n, at the budget it names (if that is in 1..n)."""
     check_mode(mode)
-    cases: list[SuiteCase] = []
-    for partition in all_partitions(max_n, "no-singletons"):
-        for g in GUARANTEES:
-            budget = g.budget(partition)
-            if g.failure(partition) is None and 1 <= budget <= partition.n:
-                case = (g.label, partition, budget, get_strategy(g.strategy).side, g.strategy)
-                res = verify_guarantee(*case[1:], mode)
-                cases.append(SuiteCase(*case, res.passed, res.counterexample))
-    return cases
+    return [
+        verify_guarantee(p, budget, get_strategy(g.strategy).side, g.strategy, mode)._replace(
+            label=g.label
+        )
+        for p in all_partitions(max_n, "no-singletons")
+        for g in GUARANTEES
+        if g.failure(p) is None and 1 <= (budget := g.budget(p)) <= p.n
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +390,12 @@ def check_nonoptimality_theorem(k: int) -> NonOptimalityReport:
     budget = 2 * k - 4
     solver_upper_ok = alice_wins(partition, budget)
     composite_ok = restricted_value(partition, budget, ALICE, "acomposite")
-    rule_results = {}
-    for rule in NONOPT_ALICE_RULES:
-        if not is_applicable(rule, partition):
-            # n = 3k - 3 is even for odd k, so the odd-opener rules may not
-            # even apply; a rule that cannot be played cannot win either.
-            rule_results[rule] = False
-        else:
-            rule_results[rule] = restricted_value(partition, budget, ALICE, rule)
+    # n = 3k - 3 is even for odd k, so the odd-opener rules may not even
+    # apply; a rule that cannot be played cannot win either.
+    rule_results = {
+        rule: is_applicable(rule, partition) and restricted_value(partition, budget, ALICE, rule)
+        for rule in NONOPT_ALICE_RULES
+    }
     return NonOptimalityReport(
         partition=partition,
         budget=budget,

@@ -407,6 +407,7 @@ def as_strategy(strategy: Strategy | str) -> Strategy:
 
 
 def is_applicable(strategy: Strategy | str, partition: Partition) -> bool:
+    check_partition(partition)
     return as_strategy(strategy).is_applicable(partition)
 
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from chromagame.core import (
     ALICE,
     BOB,
-    GameOverError,
     GameState,
     GameStatus,
     IllegalMoveError,
@@ -136,7 +135,7 @@ class TestLegalMoves:
         s = initial_state(Partition.of([2, 2]), budget=2)
         s = play_moves(s, [Move(0, True), Move(0, True)])
         assert status(s) is GameStatus.BOB_WON
-        with pytest.raises(GameOverError):
+        with pytest.raises(IllegalMoveError, match="game is over"):
             legal_moves(s)
 
     def test_terminal_rejects_move_application(self):

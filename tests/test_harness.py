@@ -3,6 +3,8 @@ counterexamples, scanning, and the conjecture checks."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from chromagame import solver
@@ -19,10 +21,19 @@ from chromagame.core import (
     initial_state,
     status,
 )
-from chromagame.formulas import GUARANTEES
+from chromagame.formulas import (
+    GUARANTEES,
+    best_bounds,
+    bounds,
+    ceil_half_sum,
+    fresh_starter_budget,
+    table1_chi_g,
+    table1_report,
+)
 from chromagame.harness import (
     SCAN_CSV_HEADER,
     GameRecord,
+    VerifyResult,
     all_partitions,
     check_b1p_conjecture,
     check_nonoptimality_theorem,
@@ -36,6 +47,8 @@ from chromagame.harness import (
     verify_guarantee,
 )
 from chromagame.solver import (
+    DETERMINISTIC,
+    UNIVERSAL,
     WinVector,
     alice_wins,
     refute_restricted,
@@ -47,6 +60,7 @@ from chromagame.strategies import (
     InapplicableStrategyError,
     choose_move,
     get_strategy,
+    is_applicable,
 )
 
 
@@ -104,6 +118,15 @@ class TestSimulate:
                 assert m.color in seen.get(m.part, set())
             seen.setdefault(m.part, set()).add(m.color)
 
+    def test_json_keys_follow_the_field_order(self):
+        record = simulate(Partition((2, 1)), 2, "a1", "b1")
+        assert json.dumps(record.to_dict()) == (
+            '{"partition": [2, 1], "budget": 2, "alice": "a1", "bob": "b1", "moves": ['
+            '{"index": 0, "mover": "alice", "part": 0, "color": 1, "fresh": true}, '
+            '{"index": 1, "mover": "bob", "part": 0, "color": 2, "fresh": true}], '
+            '"outcome": "bob_won", "fixing_index": null, "colors_used": 2}'
+        )
+
     def test_seeded_random_games_replay_identically(self):
         a = simulate(Partition.of([3, 3, 2]), 4, "random:7", "random:7")
         b = simulate(Partition.of([3, 3, 2]), 4, "random:7", "random:7")
@@ -153,6 +176,13 @@ class TestVerifyGuarantee:
         end, _ = replay(res.counterexample)
         assert status(end) is GameStatus.ALICE_WON
 
+    def test_passed_is_read_from_the_counterexample(self):
+        """A result cannot claim a pass while it holds a refutation."""
+        assert "passed" not in VerifyResult._fields
+        refuted = verify_guarantee(Partition.of([4, 4, 4]), 4, ALICE, "a1")
+        assert refuted.counterexample is not None and refuted.passed is False
+        assert refuted._replace(counterexample=None).passed is True
+
 
 class TestPartitions:
     def test_partition_function_counts(self):
@@ -180,10 +210,14 @@ class TestScan:
         assert all(r.agrees for r in rows)
         assert all(r.to_csv().split(",")[-3] == "true" for r in rows)  # monotone
 
+    def test_rows_hold_the_solver_vector(self):
+        for row in scan(6):
+            assert row.vector == win_vector(row.vector.partition)
+
     def test_singleton_examples_present(self):
         rows = scan(6, "with-singletons")
-        by_partition = {str(r.partition): r for r in rows}
-        assert by_partition["2,2,1,1"].chi_g == 5
+        by_partition = {str(r.vector.partition): r for r in rows}
+        assert by_partition["2,2,1,1"].vector.chi_g == 5
         assert by_partition["2,2,1,1"].table1 is None
         assert not by_partition["2,2,1,1"].agrees
 
@@ -200,18 +234,15 @@ class TestScan:
 
     def test_rows_sorted_canonically_and_worker_independent(self):
         one = scan(7)
+        canonical = lambda p: (p.n, p.sizes)
         two = sorted(
             (scan_one(p, {}) for p in all_partitions(7)),
-            key=lambda r: (r.n, r.partition.sizes),
+            key=lambda r: canonical(r.vector.partition),
         )
-        strip = lambda rows: [
-            (str(r.partition), r.n, r.k, r.chi_g, r.table1, r.agrees, r.winvector)
-            for r in rows
-        ]
+        strip = lambda rows: [(r.vector, r.table1, r.agrees) for r in rows]
         assert strip(one) == strip(two)
-        assert strip(one) == sorted(
-            strip(one), key=lambda t: (t[1], tuple(int(x) for x in t[0].split(",")))
-        )
+        shapes = [r.vector.partition for r in one]
+        assert shapes == sorted(shapes, key=canonical)
 
 
 class TestSuites:
@@ -224,8 +255,6 @@ class TestSuites:
     def test_guarantee_suite_universal_reading(self):
         """The guarantees hold for every admissible refinement, not just the
         deterministic tie-break."""
-        from chromagame.solver import UNIVERSAL
-
         cases = guarantee_suite(9, mode=UNIVERSAL)
         assert cases and all(c.passed for c in cases)
 
@@ -243,6 +272,13 @@ class TestSuites:
                     assert res.passed, (g.label, partition, budget)
                     cases += 1
         assert cases == 259
+
+    @pytest.mark.parametrize("mode", [DETERMINISTIC, UNIVERSAL])
+    def test_suite_cases_are_labelled_verify_results(self, mode):
+        labels = {g.label for g in GUARANTEES}
+        cases = guarantee_suite(8, mode)
+        assert cases and all(type(c) is VerifyResult for c in cases)
+        assert all(c.label in labels and c.mode == mode for c in cases)
 
     def test_guarantees_bound_the_solver(self):
         for case in guarantee_suite(8):
@@ -334,6 +370,13 @@ K33 = Partition((3, 3))
         lambda: refute_restricted((3, 3), 3, ALICE, "a1"),
         lambda: verify_guarantee((3, 3), 3, ALICE, "a1"),
         lambda: simulate((3, 3), 3, "a2", "b1"),  # a2's shape test reads the partition
+        lambda: table1_chi_g((3, 3)),
+        lambda: ceil_half_sum((3, 3)),
+        lambda: fresh_starter_budget((3, 3)),
+        lambda: bounds((3, 3)),
+        lambda: table1_report((3, 3)),
+        lambda: best_bounds((3, 3)),
+        lambda: is_applicable("a1", (3, 3)),  # a1 applies to every shape
     ],
     ids=[
         "Partition", "Partition.parse", "GameState", "get_strategy", "check_seat",
@@ -348,7 +391,9 @@ K33 = Partition((3, 3))
         "guarantee_suite-negative-max_n", "scan-zero-max_n",
         "GameState-tuple", "initial_state-tuple", "win_vector-tuple", "WinVector-tuple",
         "alice_wins-tuple", "refute_restricted-tuple", "verify_guarantee-tuple",
-        "simulate-tuple",
+        "simulate-tuple", "table1_chi_g-tuple", "ceil_half_sum-tuple",
+        "fresh_starter_budget-tuple", "bounds-tuple", "table1_report-tuple",
+        "best_bounds-tuple", "is_applicable-tuple",
     ],
 )
 def test_caller_errors_raise_input_error(call):
