@@ -122,10 +122,11 @@ def suite():
 
 
 def verify():
-    """Each analyzed rule, at its own seat, at every budget of every shape
-    with n <= 7, in both modes."""
+    """Each analyzed rule, at its own seat, and the seatless `random:1` and
+    `human`, which `verify` refuses, at every budget of every shape with
+    n <= 7, in both modes."""
     for partition, budget in shape_budgets(7):
-        for name in RULES:
+        for name in RULES + ("random:1", "human"):
             for universal in ([], ["--universal"]):
                 yield cli_record(
                     ["verify", str(partition), "--colors", str(budget), "--strategy", name]

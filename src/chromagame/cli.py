@@ -48,7 +48,6 @@ from .solver import (
     UNIVERSAL,
     WinVector,
     load_cache,
-    pinned_side,
     save_cache,
     win_vector,
 )
@@ -268,7 +267,7 @@ def cmd_play(args, out, inp) -> int:
 def cmd_verify(args, out, inp) -> int:
     partition = _partition(args.partition)
     strategy = get_strategy(args.strategy)
-    side = pinned_side(strategy)
+    side = strategy.side
     mode = UNIVERSAL if args.universal else DETERMINISTIC
     result = verify_guarantee(partition, args.colors, side, strategy, mode)
     if result.passed:

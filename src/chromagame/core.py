@@ -162,10 +162,10 @@ class GameState(_GameFields):
             raise InputError(
                 f"{used} colors used, but {started} parts are started and the budget is {budget}"
             )
-        if last_move is not None and not (
-            0 <= last_move.part < len(colored) and colored[last_move.part]
-        ):
-            raise InputError(f"last move {last_move} names no part with a colored vertex")
+        if last_move is not None:
+            check_move(last_move)
+            if not (0 <= last_move.part < len(colored) and colored[last_move.part]):
+                raise InputError(f"last move {last_move} names no part with a colored vertex")
         return super().__new__(cls, partition, colored, budget, used, last_move)
 
     @classmethod
@@ -185,6 +185,13 @@ def check_partition(partition: Partition) -> None:
     sizes is refused, as it has none of a partition's checks or fields."""
     if not isinstance(partition, Partition):
         raise InputError(f"partition must be a Partition, not {partition!r}")
+
+
+def check_move(move: Move) -> None:
+    """Raise InputError unless `move` is a `Move` of an int part and a bool
+    `fresh` (bool subclasses int, and a plain tuple has no fields)."""
+    if type(move) is not Move or type(move.part) is not int or type(move.fresh) is not bool:
+        raise InputError(f"a move must be a Move(int, bool), not {move!r}")
 
 
 def check_budget(partition: Partition, budget: int) -> None:
@@ -243,6 +250,7 @@ def apply_move(state: GameState, move: Move) -> GameState:
     part is started only by a fresh color (a reuse needs a started part),
     so the number of started parts never overtakes `used`.
     """
+    check_move(move)
     if status(state) is not GameStatus.ONGOING:
         raise IllegalMoveError(f"game is over: {status(state).value}")
     part, fresh = move.part, move.fresh

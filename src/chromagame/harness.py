@@ -330,7 +330,7 @@ def check_b1p_conjecture(max_n: int, mode: str = DETERMINISTIC) -> ConjectureRep
     """Whenever optimal play wins for Bob (budget below the exact value),
     the singleton-aware echo rule must still win for him. One case per shape
     with chi_g >= 2, at chi_g - 1, settles every such budget, as a Bob rule's
-    verdict is a down-set in the budget (see `solver._RestrictedSearch`)."""
+    verdict is a down-set in the budget (see `solver._refute`)."""
     check_mode(mode)
     memo: dict[tuple, bool] = {}
     partitions = all_partitions(max_n)

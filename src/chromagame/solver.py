@@ -239,14 +239,96 @@ def save_cache(path: str, cache: dict[str, WinVector]) -> None:
             os.remove(tmp)
 
 
-class _RestrictedSearch:
-    """Game search with one seat pinned to a fixed rule.
+def _pinned_key(state: GameState, rule: Strategy) -> tuple:
+    """The pinned search's memo key: the sorted part codes and the colors
+    left. Part i's code is `4 * (size * (r_1 + 1) + colored) + 2 * (moved
+    last) + (is anchor)`, the anchor being the rule's `anchor_part`. One
+    search has one partition and one budget, and within it positions with
+    equal keys have equal values:
 
-    The pinned seat plays its deterministic move (or, in universal mode,
-    must succeed with every admissible move); the other seat ranges over
-    all legal moves. The value is True iff the pinned seat reaches its goal
-    against every line: an AND over every allowed move at every position,
-    so the first lost position decides it and only won keys are stored.
+    - Colored counts lie in 0..r_1, so a code fixes its part's `(size,
+      colored, moved last, is anchor)`, and the key is the multiset of
+      these over the parts plus the colors left.
+    - `turn` is dropped. Each move colors one vertex, so the turn is the
+      parity of the colored total, which the parts fix.
+    - The two marks single out the parts a rule names by index: the
+      anchor, and the part just played, which the echo and mirror
+      clauses answer in. Every other part is read only through its size
+      and colored count. The last move is marked for every rule; a mark
+      a rule does not read only splits positions of equal value.
+    - The multiset forgets which of two equal-size parts is which.
+      Clauses pick parts by these four fields alone, so from two
+      positions with one key the pinned seat's picks carry the same
+      fields and lead to positions with one key again. The exception is
+      a clause that offers equal-size parts with different counts, where
+      the lowest-index tie-break may pick differently: a3's fill (the
+      fill of `_start_or_fill` acts only once every part is started,
+      where the search stops). a3 reuses whenever some part is partial
+      and otherwise starts an odd part chosen by size, so its moves, and
+      its value, depend only on the pooled key of `canonicalize`, which
+      both picks leave equal.
+    - The rule value is left out. Only acomposite's changes in play: its
+      script hands over to the a2 or a2p row anchored on a triple, or to
+      a1p. Its positions with one key hold values that act alike:
+      1. a2 and a2p differ only by a2p's singleton clause. The a2
+         hand-over comes only once both singletons are colored, so any
+         key it shares with an a2p position has no uncolored singleton,
+         and both rows allow the same moves.
+      2. The script's phase is the one the rule last moved in, and it
+         steps only on the opponent's replies. Each scripted phase
+         (`open`, `fill_singleton`, `join_big`, `close_big`) covers one
+         of Alice's moves and the reply to it. At Alice's turn, any two
+         values present at one move count differ in the anchor part's
+         code (or its absence) or in the colored count of the size-4
+         part. At the opponent's turn a phase acts only through the
+         value the reply steps it to. The one phase that may share a
+         key with another value there, `fill_singleton` with the a2
+         hand-over after three moves, steps to a2 on the marked part.
+    """
+    sizes = state.partition.sizes
+    base = sizes[0] + 1
+    codes = [4 * (size * base + colored) for size, colored in zip(sizes, state.colored)]
+    if state.last_move is not None:
+        codes[state.last_move.part] += 2
+    anchor = rule.anchor_part(state)
+    if anchor is not None:
+        codes[anchor] += 1
+    return (tuple(sorted(codes)), state.budget - state.used)
+
+
+def _pinned_moves(state: GameState, rule: Strategy, universal: bool) -> list[Move]:
+    """The moves the pinned search tries at `state`: every legal move on the
+    free seat's turn; on the pinned seat's, every move `rule` allows in
+    universal mode, else its deterministic pick. The pinned seat is
+    `rule.side`, which every rule `advance` hands over to keeps."""
+    if state.turn != rule.side:
+        return legal_moves(state)
+    moves = rule.admissible(state)
+    if not moves:
+        raise StrategyTotalityError(f"{rule.id}: no clause matched")
+    return moves if universal else moves[:1]
+
+
+def _refute(
+    state: GameState, rule: Strategy, universal: bool, won: set[tuple]
+) -> Optional[list[Move]]:
+    """Game search with one seat pinned to `rule`, the rule as it stands at
+    `state`: None if the pinned seat reaches its goal from `state` against
+    every line; otherwise the first failing line in search order (at each
+    position, the first allowed move that is not won), walked to the end of
+    play so it replays to a full game. `won` holds the `_pinned_key`s of
+    positions the pinned seat has won; the caller owns it, and may share it
+    between searches of one partition, budget, mode and root rule.
+
+    The value is an AND over the moves `_pinned_moves` allows at every
+    position, so the first lost position decides it and only won keys are
+    stored.
+
+    The walk is depth first on an explicit stack. A position `decided` for
+    the pinned seat is won. One decided against it is lost only once play
+    has ended, the one place `status` is asked, so the walk goes on through
+    it: no continuation is won, so it goes down by each frame's first move
+    to a lost terminal. The moves on the stack are the line.
 
     No allowed move reads the colors left at a position `decided` leaves
     open, where u >= 1 and left >= u >= 1. The free seat's `legal_moves`
@@ -257,130 +339,29 @@ class _RestrictedSearch:
     allowed moves, and `decided` is a threshold in `left`: an Alice rule's
     verdict is an up-set in the budget, and a Bob rule's a down-set.
     """
-
-    def __init__(self, fixed_side: str, mode: str):
-        self.fixed_side = fixed_side
-        self.goal_alice = fixed_side == ALICE
-        self.universal = mode == UNIVERSAL
-        self.won: set[tuple] = set()
-
-    def key(self, state: GameState, rule: Strategy) -> tuple:
-        """Memo key: the sorted part codes and the colors left. Part i's code
-        is `4 * (size * (r_1 + 1) + colored) + 2 * (moved last) + (is
-        anchor)`, the anchor being the rule's `anchor_part`. One search has
-        one partition and one budget, and within it positions with equal
-        keys have equal values:
-
-        - Colored counts lie in 0..r_1, so a code fixes its part's `(size,
-          colored, moved last, is anchor)`, and the key is the multiset of
-          these over the parts plus the colors left.
-        - `turn` is dropped. Each move colors one vertex, so the turn is the
-          parity of the colored total, which the parts fix.
-        - The two marks single out the parts a rule names by index: the
-          anchor, and the part just played, which the echo and mirror
-          clauses answer in. Every other part is read only through its size
-          and colored count. The last move is marked for every rule; a mark
-          a rule does not read only splits positions of equal value.
-        - The multiset forgets which of two equal-size parts is which.
-          Clauses pick parts by these four fields alone, so from two
-          positions with one key the pinned seat's picks carry the same
-          fields and lead to positions with one key again. The exception is
-          a clause that offers equal-size parts with different counts, where
-          the lowest-index tie-break may pick differently: a3's fill (the
-          fill of `_start_or_fill` acts only once every part is started,
-          where the search stops). a3 reuses whenever some part is partial
-          and otherwise starts an odd part chosen by size, so its moves, and
-          its value, depend only on the pooled key of `canonicalize`, which
-          both picks leave equal.
-        - The rule value is left out. Only acomposite's changes in play: its
-          script hands over to the a2 or a2p row anchored on a triple, or to
-          a1p. Its positions with one key hold values that act alike:
-          1. a2 and a2p differ only by a2p's singleton clause. The a2
-             hand-over comes only once both singletons are colored, so any
-             key it shares with an a2p position has no uncolored singleton,
-             and both rows allow the same moves.
-          2. The script's phase is the one the rule last moved in, and it
-             steps only on the opponent's replies. Each scripted phase
-             (`open`, `fill_singleton`, `join_big`, `close_big`) covers one
-             of Alice's moves and the reply to it. At Alice's turn, any two
-             values present at one move count differ in the anchor part's
-             code (or its absence) or in the colored count of the size-4
-             part. At the opponent's turn a phase acts only through the
-             value the reply steps it to. The one phase that may share a
-             key with another value there, `fill_singleton` with the a2
-             hand-over after three moves, steps to a2 on the marked part.
-        """
-        sizes = state.partition.sizes
-        base = sizes[0] + 1
-        codes = [4 * (size * base + colored) for size, colored in zip(sizes, state.colored)]
-        if state.last_move is not None:
-            codes[state.last_move.part] += 2
-        anchor = rule.anchor_part(state)
-        if anchor is not None:
-            codes[anchor] += 1
-        return (tuple(sorted(codes)), state.budget - state.used)
-
-    def moves_for(self, state: GameState, rule: Strategy) -> list[Move]:
-        if state.turn != self.fixed_side:
-            return legal_moves(state)
-        moves = rule.admissible(state)
-        if not moves:
-            raise StrategyTotalityError(f"{rule.id}: no clause matched")
-        return moves if self.universal else moves[:1]
-
-    def _open(self, state: GameState, rule: Strategy) -> bool | tuple:
-        """The position's value if it is settled or known won, else a stack
-        frame: its key, the position, the rule and an iterator over its moves.
-        A position `decided` for the pinned seat is settled won. One decided
-        against it is settled lost only once play has ended, the one place
-        `status` is asked, so `refutation` walks on through it."""
+    goal_alice = rule.side == ALICE
+    stack: list[tuple] = []
+    while True:
         settled = decided(state.colored.count(0), state.budget - state.used)
-        if settled == self.goal_alice:
-            return True
-        if settled is not None and status(state) is not GameStatus.ONGOING:
-            return False
-        key = self.key(state, rule)
-        if key in self.won:
-            return True
-        return (key, state, rule, iter(self.moves_for(state, rule)))
-
-    def refutation(self, state: GameState, rule: Strategy) -> Optional[list[Move]]:
-        """None if the pinned seat reaches its goal from `state`, where
-        `rule` is the pinned rule as it stands; otherwise the first failing
-        line in search order (at each position, the first allowed move that
-        is not won), walked to the end of play so it replays to a full game.
-
-        The walk is depth first on an explicit stack and stores the keys of
-        positions the pinned seat has won. Once it reaches a position
-        `decided` against the pinned seat, no continuation is won, so it goes
-        down by each frame's first move to a lost terminal, where `_open`
-        stops it. The moves on the stack are the line."""
-        found, stack = self._open(state, rule), []
-        while found is not False:
-            if found is not True:
-                stack.append(found)
-            while stack:
-                key, state, rule, moves = stack[-1]
-                move = next(moves, None)
-                if move is not None:
-                    break
-                self.won.add(key)
-                stack.pop()
-            else:
-                return None
-            state = apply_move(state, move)
-            rule = rule.advance(state)
-            found = self._open(state, rule)
-        states = [frame[1] for frame in stack] + [state]
-        return [s.last_move for s in states[1:]]
-
-
-def pinned_side(strategy: Strategy) -> str:
-    """The seat of a rule the pinned search can hold to. `random` and
-    `human` have none: they pick by part order, which its keys drop."""
-    if strategy.side is None:
-        raise InapplicableStrategyError(f"{strategy.id} is not an analyzed rule")
-    return strategy.side
+        if settled != goal_alice:
+            if settled is not None and status(state) is not GameStatus.ONGOING:
+                break
+            key = _pinned_key(state, rule)
+            if key not in won:
+                stack.append((key, state, rule, iter(_pinned_moves(state, rule, universal))))
+        while stack:
+            key, state, rule, moves = stack[-1]
+            move = next(moves, None)
+            if move is not None:
+                break
+            won.add(key)
+            stack.pop()
+        else:
+            return None
+        state = apply_move(state, move)
+        rule = rule.advance(state)
+    states = [frame[1] for frame in stack] + [state]
+    return [s.last_move for s in states[1:]]
 
 
 def restricted_value(
@@ -405,11 +386,9 @@ def refute_restricted(
     """None when the pinned seat's goal is guaranteed; otherwise the first
     failing line in deterministic search order, walked to the end of play."""
     strategy = as_strategy(strategy)
-    if fixed_side not in (ALICE, BOB):
-        raise InputError(f"fixed_side must be {ALICE!r} or {BOB!r}")
+    if strategy.side is None:  # random and human pick by part order, which the keys drop
+        raise InapplicableStrategyError(f"{strategy.id} is not an analyzed rule")
     check_budget(partition, budget)
     check_mode(mode)
     check_seat(strategy, partition, fixed_side)
-    pinned_side(strategy)
-    state = initial_state(partition, budget)
-    return _RestrictedSearch(fixed_side, mode).refutation(state, strategy)
+    return _refute(initial_state(partition, budget), strategy, mode == UNIVERSAL, set())

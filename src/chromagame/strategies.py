@@ -91,7 +91,8 @@ class Strategy:
         return self
 
     def admissible(self, state: GameState) -> list[Move]:
-        raise NotImplementedError
+        """Every move the rule allows; an unrestricted seat allows every legal one."""
+        return legal_moves(state)
 
     def choose(self, state: GameState) -> Move:
         moves = self.admissible(state)
@@ -309,14 +310,10 @@ class RandomMover(_RandomFields, Strategy):
 
     __slots__ = ()
     __repr__ = Strategy.__repr__
-    side = None
 
     @property
     def id(self):
         return f"random:{self.seed}"
-
-    def admissible(self, state):
-        return legal_moves(state)
 
     def choose(self, state):
         rng = random.Random(self.seed * 1_000_003 + sum(state.colored))
@@ -333,10 +330,6 @@ class HumanPlayer(_HumanFields, Strategy):
     __slots__ = ()
     __repr__ = Strategy.__repr__
     id = "human"
-    side = None
-
-    def admissible(self, state):
-        return legal_moves(state)
 
     def choose(self, state):
         if self.picker is None:
@@ -384,6 +377,8 @@ def _anchored(name: str, part: int) -> Rule:
 
 def get_strategy(name: str) -> Strategy:
     """Resolve a strategy name as accepted by the CLI."""
+    if not isinstance(name, str):
+        raise InputError(f"a strategy name must be a string, not {name!r}")
     key = name.strip().lower()
     if key in _REGISTRY:
         return _REGISTRY[key]
@@ -403,7 +398,11 @@ def get_strategy(name: str) -> Strategy:
 
 def as_strategy(strategy: Strategy | str) -> Strategy:
     """A strategy object, looking a name up with `get_strategy`."""
-    return get_strategy(strategy) if isinstance(strategy, str) else strategy
+    if isinstance(strategy, Strategy):
+        return strategy
+    if isinstance(strategy, str):
+        return get_strategy(strategy)
+    raise InputError(f"a seat must be a strategy name or a Strategy, not {strategy!r}")
 
 
 def is_applicable(strategy: Strategy | str, partition: Partition) -> bool:
@@ -427,22 +426,24 @@ def check_seat(strategy: Strategy, partition: Partition, seat: str) -> None:
         )
 
 
-def _check_turn(strategy: Strategy, state: GameState) -> None:
+def _check_turn(strategy: Strategy | str, state: GameState) -> Strategy:
+    """The seat as a `Strategy`, once it may move at `state`."""
+    strategy = as_strategy(strategy)
     check_seat(strategy, state.partition, state.turn)
     if status(state) is not GameStatus.ONGOING:
         raise InputError("game is over")
+    return strategy
 
 
-def choose_move(strategy: Strategy, state: GameState) -> Move:
+def choose_move(strategy: Strategy | str, state: GameState) -> Move:
     """The rule's deterministic move for this position; `strategy` is the
-    rule as it stands at `state` (see `Strategy.advance`)."""
-    _check_turn(strategy, state)
-    return strategy.choose(state)
+    rule as it stands at `state` (see `Strategy.advance`), or its name."""
+    return _check_turn(strategy, state).choose(state)
 
 
-def admissible_moves(strategy: Strategy, state: GameState) -> list[Move]:
+def admissible_moves(strategy: Strategy | str, state: GameState) -> list[Move]:
     """Every move the first matching clause allows; contains choose_move's pick."""
-    _check_turn(strategy, state)
+    strategy = _check_turn(strategy, state)
     moves = strategy.admissible(state)
     if not moves:
         raise StrategyTotalityError(f"{strategy.id}: no clause matched")

@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chromagame import solver
 from chromagame.cli import MAX_NONOPT_K, MAX_SOLVE_WORK, MAX_VERTICES, run, solve_work
 from chromagame.core import IllegalMoveError, Partition
 from chromagame.harness import all_partitions
-from chromagame.solver import _RestrictedSearch
 
 
 def invoke(argv, stdin_text=""):
@@ -427,7 +427,7 @@ class TestUsageErrors:
         def planted(*_args):
             raise IllegalMoveError("planted fault")
 
-        monkeypatch.setattr(_RestrictedSearch, "refutation", planted)
+        monkeypatch.setattr(solver, "_refute", planted)
         with pytest.raises(IllegalMoveError, match="planted fault"):
             invoke(argv)
 

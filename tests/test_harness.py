@@ -377,6 +377,23 @@ K33 = Partition((3, 3))
         lambda: table1_report((3, 3)),
         lambda: best_bounds((3, 3)),
         lambda: is_applicable("a1", (3, 3)),  # a1 applies to every shape
+        # a malformed move: a `fresh` or part that is not a bool or int,
+        # or a plain tuple, which has no `Move` fields
+        lambda: apply_move(initial_state(K33, 4), Move(0, 2)),
+        lambda: record_playout(K33, 4, [Move(0, 2)], "x", "y"),
+        lambda: apply_move(initial_state(K33, 4), Move(True, True)),
+        lambda: apply_move(initial_state(K33, 4), Move("0", True)),
+        lambda: apply_move(initial_state(K33, 4), Move(0, "yes")),
+        lambda: apply_move(initial_state(K33, 4), (0, True)),
+        lambda: GameState(K33, (1, 0), 3, 1, (0, True)),
+        lambda: GameState(K33, (1, 0), 3, 1, Move(0, 1)),
+        # a seat that is neither a strategy name nor a `Strategy`
+        lambda: restricted_value(K33, 3, ALICE, 123),
+        lambda: verify_guarantee(K33, 3, ALICE, None),
+        lambda: simulate(K33, 3, 123, "b1"),
+        lambda: is_applicable(123, K33),
+        lambda: get_strategy(123),
+        lambda: choose_move(123, initial_state(K33, 3)),
     ],
     ids=[
         "Partition", "Partition.parse", "GameState", "get_strategy", "check_seat",
@@ -394,6 +411,11 @@ K33 = Partition((3, 3))
         "simulate-tuple", "table1_chi_g-tuple", "ceil_half_sum-tuple",
         "fresh_starter_budget-tuple", "bounds-tuple", "table1_report-tuple",
         "best_bounds-tuple", "is_applicable-tuple",
+        "apply_move-int-fresh", "record_playout-int-fresh", "apply_move-bool-part",
+        "apply_move-str-part", "apply_move-str-fresh", "apply_move-tuple-move",
+        "GameState-tuple-last_move", "GameState-int-last_move-fresh",
+        "restricted_value-int-seat", "verify_guarantee-none-seat", "simulate-int-seat",
+        "is_applicable-int-seat", "get_strategy-int", "choose_move-int-seat",
     ],
 )
 def test_caller_errors_raise_input_error(call):

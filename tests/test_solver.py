@@ -33,7 +33,9 @@ from chromagame.solver import (
     DETERMINISTIC,
     UNIVERSAL,
     WinVector,
-    _RestrictedSearch,
+    _pinned_key,
+    _pinned_moves,
+    _refute,
     _value,
     alice_wins,
     canonicalize,
@@ -201,7 +203,7 @@ RULES = ("a1", "a1p", "a2", "a2p", "a3", "a3p", "acomposite", "b1", "b1p")
 
 @pytest.mark.parametrize("mode", [DETERMINISTIC, UNIVERSAL])
 def test_pinned_verdicts_are_monotone_in_the_budget(mode):
-    """`_RestrictedSearch`'s argument: on every applicable shape with n <= 9,
+    """`_refute`'s argument: on every applicable shape with n <= 9,
     an Alice rule's verdicts over budgets 1..n are an up-set, and a Bob
     rule's a down-set."""
     for partition in all_partitions(9):
@@ -237,7 +239,7 @@ def assert_pinned_search_exact(partition, name, mode, budget):
     The search's small-int key also splits these positions exactly as
     `multiset_key` does: two positions share one iff they share the other."""
     strategy = get_strategy(name)
-    search = _RestrictedSearch(strategy.side, mode)
+    won: set = set()
     plain: dict = {}
     small_to_multiset: dict = {}
     multiset_to_small: dict = {}
@@ -246,7 +248,7 @@ def assert_pinned_search_exact(partition, name, mode, budget):
         key = (state.colored, state.used, state.turn, state.last_move, rule)
         if key not in plain:
             where = (name, mode, budget, state)
-            small, multiset = search.key(state, rule), multiset_key(rule, state)
+            small, multiset = _pinned_key(state, rule), multiset_key(rule, state)
             assert small_to_multiset.setdefault(small, multiset) == multiset, where
             assert multiset_to_small.setdefault(multiset, small) == small, where
             st = status(state)
@@ -261,7 +263,7 @@ def assert_pinned_search_exact(partition, name, mode, budget):
                     moves = [rule.choose(state)]
                 children = [apply_move(state, m) for m in moves]
                 plain[key] = all([value(child, rule.advance(child)) for child in children])
-            assert (search.refutation(state, rule) is None) == plain[key], where
+            assert (_refute(state, rule, mode == UNIVERSAL, won) is None) == plain[key], where
         return plain[key]
 
     value(initial_state(partition, budget), strategy)
@@ -401,7 +403,6 @@ def test_acomposite_bookkeeping_follows_the_board(k, mode):
     opponent's replies: Alice's own moves keep the value."""
     partition = Partition((4,) + (3,) * (k - 3) + (1, 1))
     strategy = get_strategy("acomposite")
-    search = _RestrictedSearch(ALICE, mode)
     seen = set()
     stack = [(initial_state(partition, 2 * k - 4), strategy)]
     while stack:
@@ -412,7 +413,7 @@ def test_acomposite_bookkeeping_follows_the_board(k, mode):
         seen.add((state, rule))
         if rule.id == "a2":
             assert state.colored[-2:] == (1, 1), (state, rule)
-        children = [apply_move(state, m) for m in search.moves_for(state, rule)]
+        children = [apply_move(state, m) for m in _pinned_moves(state, rule, mode == UNIVERSAL)]
         steps = [(child, rule.advance(child)) for child in children]
         if state.turn == ALICE:
             assert all(after is rule for _child, after in steps), (state, rule)
@@ -601,6 +602,15 @@ class TestRestricted:
             restricted_value(p, 2, side, name)
         with pytest.raises(InapplicableStrategyError):
             refute_restricted(p, 2, side, name)
+
+    def test_the_pinned_seat_is_the_rules_own(self):
+        """A seatless rule is refused before any other check, and a seat that
+        is not the rule's own is refused by `check_seat`."""
+        p = Partition.of([2, 2])
+        with pytest.raises(InapplicableStrategyError, match="random:0 is not an analyzed rule"):
+            refute_restricted(p, p.n + 3, ALICE, "random")
+        with pytest.raises(InapplicableStrategyError, match="a1 is a rule for alice; it cannot"):
+            refute_restricted(p, 3, "carol", "a1")
 
     def test_restricted_value_accepts_strategy_objects_and_names(self):
         from chromagame.strategies import get_strategy

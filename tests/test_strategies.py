@@ -399,3 +399,19 @@ def test_human_requires_session():
     human = get_strategy("human")
     with pytest.raises(InapplicableStrategyError):
         human.choose(initial_state(p, 3))
+
+
+@pytest.mark.parametrize("name", ["random:1", "human"])
+def test_unrestricted_seats_allow_every_legal_move(name):
+    """`random` and `human` take the base class's `admissible`: every legal move."""
+    p = Partition.of([3, 2, 1])
+    _rule, state = ctx_after(get_strategy("a1"), p, 4, [Move(0, True), Move(0, False)])
+    assert status(state) is GameStatus.ONGOING
+    assert admissible_moves(name, state) == legal_moves(state)
+
+
+def test_choose_move_takes_a_name():
+    state = initial_state(Partition.of([3, 3, 1]), 4)
+    for pick in (choose_move, admissible_moves):
+        assert pick("a1p", state) == pick(get_strategy("a1p"), state)
+
