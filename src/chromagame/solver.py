@@ -24,8 +24,8 @@ from .core import (
 from .formulas import fresh_starter_budget, table1_chi_g
 from .strategies import (
     InapplicableStrategyError,
+    Rule,
     Strategy,
-    StrategyTotalityError,
     as_strategy,
     check_seat,
 )
@@ -239,7 +239,7 @@ def save_cache(path: str, cache: dict[str, WinVector]) -> None:
             os.remove(tmp)
 
 
-def _pinned_key(state: GameState, rule: Strategy) -> tuple:
+def _pinned_key(state: GameState, rule: Rule) -> tuple:
     """The pinned search's memo key: the sorted part codes and the colors
     left. Part i's code is `4 * (size * (r_1 + 1) + colored) + 2 * (moved
     last) + (is anchor)`, the anchor being the rule's `anchor_part`. One
@@ -268,22 +268,23 @@ def _pinned_key(state: GameState, rule: Strategy) -> tuple:
       its value, depend only on the pooled key of `canonicalize`, which
       both picks leave equal.
     - The rule value is left out. Only acomposite's changes in play: its
-      script hands over to the a2 or a2p row anchored on a triple, or to
-      a1p. Its positions with one key hold values that act alike:
+      script's rows hand over to the a2 or a2p row anchored on a triple,
+      or to a1p. Its positions with one key hold values that act alike:
       1. a2 and a2p differ only by a2p's singleton clause. The a2
          hand-over comes only once both singletons are colored, so any
          key it shares with an a2p position has no uncolored singleton,
          and both rows allow the same moves.
-      2. The script's phase is the one the rule last moved in, and it
-         steps only on the opponent's replies. Each scripted phase
-         (`open`, `fill_singleton`, `join_big`, `close_big`) covers one
-         of Alice's moves and the reply to it. At Alice's turn, any two
-         values present at one move count differ in the anchor part's
-         code (or its absence) or in the colored count of the size-4
-         part. At the opponent's turn a phase acts only through the
-         value the reply steps it to. The one phase that may share a
-         key with another value there, `fill_singleton` with the a2
-         hand-over after three moves, steps to a2 on the marked part.
+      2. The script's rows (open, fill, join, close) step only on the
+         opponent's replies; each covers one of Alice's moves and the
+         reply. The fill row for triple j needs no anchor mark: in its
+         phase j is the only started triple, and at Alice's turn it
+         carries the last-move mark, so its fields single it out. So at
+         Alice's turn any two values present at one move count differ in
+         the marked parts' codes or in the size-4 part's colored count.
+         At the opponent's turn a row acts only through the value the
+         reply steps it to. The one row that may share a key with another
+         value there, the fill row with the a2 hand-over after three
+         moves, steps to a2 on the marked part.
     """
     sizes = state.partition.sizes
     base = sizes[0] + 1
@@ -296,21 +297,18 @@ def _pinned_key(state: GameState, rule: Strategy) -> tuple:
     return (tuple(sorted(codes)), state.budget - state.used)
 
 
-def _pinned_moves(state: GameState, rule: Strategy, universal: bool) -> list[Move]:
+def _pinned_moves(state: GameState, rule: Rule, universal: bool) -> list[Move]:
     """The moves the pinned search tries at `state`: every legal move on the
     free seat's turn; on the pinned seat's, every move `rule` allows in
-    universal mode, else its deterministic pick. The pinned seat is
-    `rule.side`, which every rule `advance` hands over to keeps."""
+    universal mode, else the one it chooses, as `simulate` plays it. The
+    pinned seat is `rule.side`, which every rule `advance` returns keeps."""
     if state.turn != rule.side:
         return legal_moves(state)
-    moves = rule.admissible(state)
-    if not moves:
-        raise StrategyTotalityError(f"{rule.id}: no clause matched")
-    return moves if universal else moves[:1]
+    return rule.admissible(state) if universal else [rule.choose(state)]
 
 
 def _refute(
-    state: GameState, rule: Strategy, universal: bool, won: set[tuple]
+    state: GameState, rule: Rule, universal: bool, won: set[tuple]
 ) -> Optional[list[Move]]:
     """Game search with one seat pinned to `rule`, the rule as it stands at
     `state`: None if the pinned seat reaches its goal from `state` against
@@ -386,7 +384,7 @@ def refute_restricted(
     """None when the pinned seat's goal is guaranteed; otherwise the first
     failing line in deterministic search order, walked to the end of play."""
     strategy = as_strategy(strategy)
-    if strategy.side is None:  # random and human pick by part order, which the keys drop
+    if not isinstance(strategy, Rule):  # random and human pick by part order, which the keys drop
         raise InapplicableStrategyError(f"{strategy.id} is not an analyzed rule")
     check_budget(partition, budget)
     check_mode(mode)

@@ -3,15 +3,15 @@
 Every rule is a priority list of clauses evaluated on the owner's turn; the
 first clause that matches the position decides the move. A clause is a
 function that returns the moves it allows, or an empty list when it does
-not match. Each analyzed rule apart from `acomposite` is a `Rule` value (an
-id, a side, a tuple of clauses, a shape test and an optional anchor) in one
+not match. Each analyzed rule is a `Rule` value (an id, a side, a tuple of
+clauses, a shape test, an optional anchor and an optional `then`) in one
 table, so rules share clauses instead of copying them and a new chain is
-one row, not a class. `acomposite` is a `CompositeOpening` value whose
-phase `advance` moves on until it hands over to a row. `admissible_moves`
-returns every move the matched clause allows (the universal reading of
-each "pick any part" freedom), while `choose_move` applies the
-deterministic tie-breaks: lowest part index first, and the smallest
-already-present color when a concrete reused color is needed for a
+one row, not a class. `acomposite` is a family of rows whose `then` steps
+the script on the opponent's replies until it hands over to a table row.
+`admissible_moves` returns every move the matched clause allows (the
+universal reading of each "pick any part" freedom), while `choose_move`
+applies the deterministic tie-breaks: lowest part index first, and the
+smallest already-present color when a concrete reused color is needed for a
 transcript.
 
 Alice's rules:
@@ -95,15 +95,7 @@ class Strategy:
         return legal_moves(state)
 
     def choose(self, state: GameState) -> Move:
-        moves = self.admissible(state)
-        if not moves:
-            raise StrategyTotalityError(f"{self.id}: no clause matched")
-        return moves[0]
-
-    def anchor_part(self, state: GameState) -> Optional[int]:
-        """The part the rule names by index (an anchor), which solver memo
-        keys must keep apart from its equal-size peers; None if there is none."""
-        return None
+        return self.admissible(state)[0]
 
     def __repr__(self) -> str:
         return f"<Strategy {self.id}>"
@@ -211,20 +203,29 @@ class _RuleFields(NamedTuple):
     clauses: tuple[Callable[[GameState], list[Move]], ...]
     applies: Callable[[Partition], bool] = lambda partition: True
     anchor: Optional[Callable[[Partition], int]] = None
+    then: Optional[Callable[[GameState], "Rule"]] = None
 
 
 class Rule(_RuleFields, Strategy):
     """An analyzed rule as a value: its admissible moves are the first
-    non-empty result among its `clauses`, in order ([] if none matches).
-    `applies` is its shape test. `anchor`, if given, names the part the
-    rule anchors on, and the anchor clauses on that part come before
-    `clauses`."""
+    non-empty result among its `clauses`, in order; if none matches, it
+    raises `StrategyTotalityError`. `applies` is its shape test. `anchor`,
+    if given, names the part the rule anchors on, and the anchor clauses on
+    that part come before `clauses`. `then`, if given, gives the rule's
+    value after each of the opponent's replies; the rule's own moves keep
+    it. The pinned-search key leaves the rule value out only on the
+    argument in `solver._pinned_key`."""
 
     __slots__ = ()
     __repr__ = Strategy.__repr__
 
     def is_applicable(self, partition):
         return self.applies(partition)
+
+    def advance(self, state):
+        if self.then is None or state.turn != self.side:
+            return self
+        return self.then(state)
 
     def admissible(self, state):
         if self.anchor is not None:
@@ -235,70 +236,60 @@ class Rule(_RuleFields, Strategy):
             moves = clause(state)
             if moves:
                 return moves
-        return []
+        raise StrategyTotalityError(f"{self.id}: no clause matched")
 
     def anchor_part(self, state):
+        """The part the rule names by index, which the pinned search's keys
+        keep apart from its equal-size peers; None if there is none."""
         return None if self.anchor is None else self.anchor(state.partition)
 
 
-class _CompositeFields(NamedTuple):
-    # The phase is a tuple whose head names it. It is the phase Alice last
-    # moved in (or moves in next), and it steps only on the opponent's replies:
-    #   ("open",)                 color a singleton
-    #   ("fill_singleton", vj)    claim the second singleton, then anchor vj
-    #   ("join_big",)             scripted reuse in the size-4 part
-    #   ("close_big",)            scripted completion of the size-4 part
-    phase: tuple = ("open",)
+# acomposite's script: open a singleton; on the opponent's first reply hand
+# over to a2, fill the second singleton first, or join the size-4 part and
+# pick a1p or a2p after the second reply. Each step is a row whose `then`
+# gives the next; a hand-over takes the board as given history.
 
 
-class CompositeOpening(_CompositeFields, Strategy):
-    """acomposite: scripted opening for K_{4,3,...,3,1,1} with k >= 6.
+def _composite_shape(partition: Partition) -> bool:
+    k = partition.k
+    return k >= 6 and partition.sizes == (4,) + (3,) * (k - 3) + (1, 1)
 
-    Color a singleton; then, depending on the opponent's first reply, either
-    hand over to the anchor rule (a2) directly, fill the second singleton
-    first, or contest the size-4 part and decide between a1p and a2p after
-    the opponent's second reply. `advance` returns the rule it hands over
-    to, which treats the current board as given history: the a1p row, or
-    the a2 or a2p row anchored on the triple the script picks, which may be
-    a part the opponent just opened.
-    """
 
-    __slots__ = ()
-    __repr__ = Strategy.__repr__
-    id = "acomposite"
-    side = ALICE
+def _reuse_big(state: GameState) -> list[Move]:
+    """The script's reuse in the size-4 part."""
+    return [Move(0, False)]
 
-    def is_applicable(self, partition):
-        k = partition.k
-        return k >= 6 and partition.sizes == (4,) + (3,) * (k - 3) + (1, 1)
 
-    def advance(self, state):
-        if state.turn == BOB:  # Alice's own move
-            return self
-        phase, part = self.phase[0], state.last_move.part
-        size = state.partition.sizes[part]
-        if phase == "open":
-            if size == 1:
-                return _anchored("a2", _first_triple(state.partition))
-            if size == 3:
-                return CompositeOpening(("fill_singleton", part))
-            return CompositeOpening(("join_big",))
-        if phase == "fill_singleton":
-            # The opponent's opening move into the triple stands in for our
-            # own anchor-opening move.
-            return _anchored("a2", self.phase[1])
-        if phase == "join_big":
-            return CompositeOpening(("close_big",)) if part == 0 else _REGISTRY["a1p"]
-        # close_big: a2p on the triple replied in, else on the first triple
-        return _anchored("a2p", part if size == 3 else _first_triple(state.partition))
+def _after_open(state: GameState) -> Rule:
+    part = state.last_move.part
+    size = state.partition.sizes[part]
+    if size == 1:
+        return _anchored("a2", _first_triple(state.partition))
+    return _fill_singleton(part) if size == 3 else _JOIN_BIG
 
-    def admissible(self, state):
-        if self.phase[0] in ("open", "fill_singleton"):
-            return _singletons(state)
-        return [Move(0, False)]  # join_big, close_big
 
-    def anchor_part(self, state):
-        return self.phase[1] if len(self.phase) > 1 else None
+@functools.cache
+def _fill_singleton(triple: int) -> Rule:
+    """Claim the second singleton, then a2 anchored on `triple`, whose
+    opening move by the opponent stands in for a2's own; one value per
+    triple. It carries no anchor, which would put the mirror clause first."""
+    return _OPEN._replace(then=lambda state: _anchored("a2", triple))
+
+
+def _after_join(state: GameState) -> Rule:
+    return _CLOSE_BIG if state.last_move.part == 0 else _REGISTRY["a1p"]
+
+
+def _after_close(state: GameState) -> Rule:
+    """a2p on the triple replied in, else on the first triple."""
+    part = state.last_move.part
+    triple = part if state.partition.sizes[part] == 3 else _first_triple(state.partition)
+    return _anchored("a2p", triple)
+
+
+_OPEN = Rule("acomposite", ALICE, (_singletons,), _composite_shape, then=_after_open)
+_JOIN_BIG = _OPEN._replace(clauses=(_reuse_big,), then=_after_join)
+_CLOSE_BIG = _JOIN_BIG._replace(then=_after_close)
 
 
 class _RandomFields(NamedTuple):
@@ -359,7 +350,7 @@ _REGISTRY = {
         # rule from the start.
         Rule("a3", ALICE, (_echo_by_reuse, _fill, _start_odd), _odd_total),
         Rule("a3p", ALICE, (_singletons, _echo_by_reuse, _fill, _start_odd), _odd_total),
-        CompositeOpening(),
+        _OPEN,
         Rule("b1", BOB, (_echo_or_fill, _start_largest)),
         Rule("b1p", BOB, (_echo_or_fill, _start_largest_big, _start_smallest)),
     )
@@ -427,11 +418,12 @@ def check_seat(strategy: Strategy, partition: Partition, seat: str) -> None:
 
 
 def _check_turn(strategy: Strategy | str, state: GameState) -> Strategy:
-    """The seat as a `Strategy`, once it may move at `state`."""
+    """The seat as a `Strategy`, once it may move at `state`. A finished
+    game is over for either seat, so it is asked first."""
     strategy = as_strategy(strategy)
-    check_seat(strategy, state.partition, state.turn)
     if status(state) is not GameStatus.ONGOING:
         raise InputError("game is over")
+    check_seat(strategy, state.partition, state.turn)
     return strategy
 
 
@@ -443,8 +435,4 @@ def choose_move(strategy: Strategy | str, state: GameState) -> Move:
 
 def admissible_moves(strategy: Strategy | str, state: GameState) -> list[Move]:
     """Every move the first matching clause allows; contains choose_move's pick."""
-    strategy = _check_turn(strategy, state)
-    moves = strategy.admissible(state)
-    if not moves:
-        raise StrategyTotalityError(f"{strategy.id}: no clause matched")
-    return moves
+    return _check_turn(strategy, state).admissible(state)

@@ -56,7 +56,6 @@ from chromagame.solver import (
     win_vector,
 )
 from chromagame.strategies import (
-    CompositeOpening,
     InapplicableStrategyError,
     choose_move,
     get_strategy,
@@ -137,19 +136,26 @@ class TestSimulate:
             simulate(Partition.of([5, 5, 1]), 4, "a2", "b1")
 
     def test_rule_values_do_not_leak_between_games(self):
-        """acomposite's phase lives in the values `advance` returns, never in
-        the registry's value, so games and searches in a row agree."""
+        """acomposite's script lives in the row values `advance` returns,
+        never in the registry's value, so games and searches in a row agree."""
         partition = Partition((4, 3, 3, 3, 1, 1))
         first = simulate(partition, 8, "acomposite", "b1")
         assert simulate(partition, 8, "acomposite", "b1") == first
         case = (partition, 7, ALICE, "acomposite")
         line = refute_restricted(*case)
         assert line is not None and refute_restricted(*case) == line
-        assert get_strategy("acomposite").phase == ("open",)
-        filling = CompositeOpening(("fill_singleton", 1))
-        assert filling == CompositeOpening(("fill_singleton", 1))
-        assert hash(filling) == hash(CompositeOpening(("fill_singleton", 1)))
-        assert filling != CompositeOpening(("fill_singleton", 2))
+        # the fill row for triple j is one value per j, whichever singleton
+        # was opened, and the rows for different triples differ
+        comp = get_strategy("acomposite")
+        start = initial_state(partition, 8)
+
+        def filling(opened, j):
+            state = apply_move(apply_move(start, Move(opened, True)), Move(j, True))
+            return comp.advance(state)
+
+        for j in (1, 2, 3):
+            assert filling(4, j) is filling(5, j)
+        assert filling(4, 1) != filling(4, 2) != filling(4, 3) != filling(4, 1)
 
     def test_wrong_seat_rejected(self):
         with pytest.raises(InapplicableStrategyError):

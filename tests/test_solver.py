@@ -27,6 +27,7 @@ from chromagame.harness import (
     NONOPT_ALICE_RULES,
     all_partitions,
     record_playout,
+    simulate,
     verify_guarantee,
 )
 from chromagame.solver import (
@@ -51,6 +52,8 @@ from chromagame.strategies import (
     InapplicableStrategyError,
     Rule,
     StrategyTotalityError,
+    admissible_moves,
+    choose_move,
     get_strategy,
 )
 
@@ -650,6 +653,21 @@ class TestRestricted:
         for check in (refute_restricted, restricted_value, verify_guarantee):
             with pytest.raises(StrategyTotalityError, match="never: no clause matched"):
                 check(p, 3, ALICE, never, mode)
+
+    def test_a_rule_with_no_matching_clause_raises_in_play(self):
+        """The totality check is the rule's own, so outside the searches (in
+        both modes above) a move asked of it and a game played with it raise
+        too."""
+        never = Rule("never", ALICE, (lambda state: [],))
+        p = Partition((2, 2))
+        entries = [
+            lambda: choose_move(never, initial_state(p, 3)),
+            lambda: admissible_moves(never, initial_state(p, 3)),
+            lambda: simulate(p, 3, never, "b1"),
+        ]
+        for entry in entries:
+            with pytest.raises(StrategyTotalityError, match="^never: no clause matched$"):
+                entry()
 
 
 @pytest.mark.parametrize(

@@ -114,6 +114,13 @@ class TestApplicability:
         assert status(state) is GameStatus.ALICE_WON and state.turn == ALICE
         with pytest.raises(ValueError, match="game is over"):
             pick(rule, state)
+        # an odd-length finished game is over for either seat, not the wrong seat
+        q = Partition.of([2, 1])
+        rule, state = ctx_after(a1, q, 3, [Move(0, True), Move(1, True), Move(0, False)])
+        assert status(state) is GameStatus.ALICE_WON and state.turn == BOB
+        for seat in (rule, b1):
+            with pytest.raises(ValueError, match="game is over"):
+                pick(seat, state)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
@@ -358,7 +365,14 @@ def test_context_rebuilds_from_history():
     comp = get_strategy("acomposite")
     moves = [Move(4, True), Move(0, True), Move(0, False), Move(0, True), Move(0, False)]
     rebuilt_rule, rebuilt_state = ctx_after(comp, p, 8, moves)
-    assert rebuilt_rule.phase[0] == "close_big"
+    # the close row: the scripted reuse, then a2p on the triple replied in
+    closing, before = ctx_after(comp, p, 8, moves[:-1])
+    assert closing is rebuilt_rule
+    assert closing.admissible(before) == [Move(0, False)]
+    for j in (1, 2, 3):
+        replied = apply_move(rebuilt_state, Move(j, True))
+        handed = rebuilt_rule.advance(replied)
+        assert (handed.id, handed.anchor_part(replied)) == ("a2p", j)
     # step-by-step advance agrees with the rebuild through core.play
     state, rule = initial_state(p, 8), comp
     for m in moves:
